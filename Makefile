@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test race obs serve-chaos crash-chaos shard-chaos reshard-chaos triage-chaos template-diff fuzz trace-demo bench-gate bench-baseline
+.PHONY: check vet build test race obs serve-chaos crash-chaos shard-chaos reshard-chaos triage-chaos template-diff fuzz trace-demo bench-gate bench-baseline bench-selftest
 
 # check is the tier-1 verification gate: static analysis, a full build,
 # the full test suite, the race-detector pass (the chaos suite asserts
@@ -9,8 +9,9 @@ GO ?= go
 # serving-layer soak, the journal kill -9 crash-recovery harness, the
 # sharded-fleet shard-kill harness, the live-resharding rebalance
 # harness, the fidelity-ladder overload soak, the template-cache
-# differential-oracle suite, and the benchmark regression gates.
-check: vet build test race obs serve-chaos crash-chaos shard-chaos reshard-chaos triage-chaos template-diff bench-gate
+# differential-oracle suite, the benchmark regression gates, and the
+# end-to-end benchmark's own tests.
+check: vet build test race obs serve-chaos crash-chaos shard-chaos reshard-chaos triage-chaos template-diff bench-gate bench-selftest
 
 vet:
 	$(GO) vet ./...
@@ -123,6 +124,11 @@ trace-demo:
 bench-gate:
 	$(GO) run ./cmd/vs2bench -benchgate
 	$(GO) run ./cmd/vs2bench -obsgate
+
+# bench-selftest vets and tests the end-to-end benchmark (e2ebench/).
+# It is its own Go module, so the root `go test ./...` never reaches it.
+bench-selftest:
+	cd e2ebench && $(GO) vet ./... && $(GO) test ./...
 
 # bench-baseline regenerates BENCH_segment.json, BENCH_obs.json and
 # BENCH_template.json after an intentional performance change. Commit

@@ -708,6 +708,10 @@ func runBatch(o *options, sup *shard.Supervisor, win *obs.Window, stitch *stitch
 		stitch:  stitch,
 		level:   level,
 	}, in, stdout, stderr)
+	if st.writeErr != nil {
+		fmt.Fprintln(stderr, "vs2d: writing results:", st.writeErr)
+		st.runErr = true
+	}
 	fmt.Fprintf(stderr, "vs2d: %d documents across %d shards: %d completed (%d degraded), %d failed\n",
 		st.docs, o.shards, st.completed, st.degraded, st.failed)
 	if st.docs == 0 && !st.runErr {
@@ -731,8 +735,12 @@ func (o *options) window() int {
 // scatter/merge stream until the listener dies. SIGINT/SIGTERM stop the
 // accept loop and abort in-flight streams so the exit path still drains
 // the fleet — the final telemetry flushes and the stitched trace only
-// exist on an orderly shutdown.
+// exist on an orderly shutdown. The handler is registered before the
+// listener is announced, so no signal sent after the announcement can
+// take the default action and kill the process.
 func runListen(o *options, sup *shard.Supervisor, win *obs.Window, stitch *stitcher, level func() int, stderr io.Writer) int {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	l, err := net.Listen("tcp", o.listen)
 	if err != nil {
 		fmt.Fprintln(stderr, "vs2d:", err)
@@ -740,8 +748,6 @@ func runListen(o *options, sup *shard.Supervisor, win *obs.Window, stitch *stitc
 	}
 	defer l.Close()
 	fmt.Fprintf(stderr, "vs2d: listening on %s\n", l.Addr())
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	if err := serveListener(ctx, l, sup, sup.Metrics(), o, win, stitch, level, stderr); err != nil {
 		fmt.Fprintln(stderr, "vs2d:", err)
 		return 1

@@ -415,23 +415,6 @@ func TestListenMode(t *testing.T) {
 	}
 }
 
-// TestScanLinesTooLong: an oversized line aborts with a line-numbered
-// error instead of being truncated.
-func TestScanLinesTooLong(t *testing.T) {
-	in := strings.NewReader("short\n" + strings.Repeat("x", 2048) + "\n")
-	var got []string
-	err := scanLines(in, "test-input", 1024, func(raw []byte) error {
-		got = append(got, string(raw))
-		return nil
-	})
-	if err == nil || !strings.Contains(err.Error(), "test-input:2") {
-		t.Fatalf("scanLines err = %v, want line-2 overflow", err)
-	}
-	if len(got) != 1 || got[0] != "short" {
-		t.Fatalf("lines before overflow = %v, want [short]", got)
-	}
-}
-
 // TestRouteKeyStable: named documents route by ID, anonymous ones by
 // global position.
 func TestRouteKeyStable(t *testing.T) {

@@ -2,14 +2,14 @@ package main
 
 // The scatter/merge engine: documents stream in line by line, each is
 // routed to its shard through the supervisor, and exactly one result
-// line per document is emitted downstream in input order. The reorder
-// buffer is bounded by the in-flight window, each index is emitted at
-// most once (the supervisor deduplicates keyed responses, the collector
-// deduplicates indexes), and the raw input bytes travel to the worker
-// verbatim so no re-encoding can perturb a resumed run's byte identity.
+// line per document is emitted downstream in input order, as soon as it
+// and every earlier line are ready. The reorder buffer is bounded by the
+// in-flight window, each index is emitted at most once (the supervisor
+// deduplicates keyed responses, the jsonl.Writer deduplicates indexes),
+// and the raw input bytes travel to the worker verbatim so no
+// re-encoding can perturb a resumed run's byte identity.
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"vs2"
+	"vs2/internal/jsonl"
 	"vs2/internal/obs"
 )
 
@@ -47,13 +48,7 @@ type scatterConfig struct {
 type scatterStats struct {
 	docs, completed, degraded, failed int
 	runErr                            bool
-}
-
-// emitted is one document's outcome on its way to ordered emission.
-type emitted struct {
-	index int
-	line  []byte
-	dt    *docTrace // nil when untraced
+	writeErr                          error // first failed reply write
 }
 
 // scatter reads JSONL documents from in, routes each through the
@@ -61,42 +56,12 @@ type emitted struct {
 func scatter(ctx context.Context, sup router, cfg scatterConfig, in io.Reader, out, errw io.Writer) scatterStats {
 	var st scatterStats
 
-	bw := bufio.NewWriterSize(out, 1<<16)
-	results := make(chan emitted, cfg.window)
-	collectDone := make(chan struct{})
-	var mu sync.Mutex // guards st counters from the collector
-	go func() {
-		defer close(collectDone)
-		pending := map[int][]byte{}
-		next := 0
-		pendingTrace := map[int]*docTrace{}
-		for e := range results {
-			if _, dup := pending[e.index]; dup || e.index < next {
-				// Exactly-once emission: a duplicate outcome for an index is
-				// dropped, never written.
-				continue
-			}
-			pending[e.index] = e.line
-			pendingTrace[e.index] = e.dt
-			for line, ok := pending[next]; ok; line, ok = pending[next] {
-				bw.Write(line)     //nolint:errcheck
-				bw.WriteByte('\n') //nolint:errcheck
-				mu.Lock()
-				tallyLine(line, &st, cfg.metrics)
-				mu.Unlock()
-				pendingTrace[next].emitted() // nil-safe
-				delete(pending, next)
-				delete(pendingTrace, next)
-				next++
-			}
-		}
-	}()
-
+	replies := jsonl.NewWriter(out, cfg.window)
 	sem := make(chan struct{}, cfg.window)
 	var wg sync.WaitGroup
 	index := 0
-	scanErr := scanLines(in, cfg.name, cfg.maxLine, func(raw []byte) error {
-		d, derr := decodeDocument(raw)
+	scanErr := jsonl.ScanLines(in, cfg.name, cfg.maxLine, func(raw []byte) error {
+		d, derr := jsonl.DecodeDocument(raw)
 		if derr != nil {
 			return derr
 		}
@@ -131,14 +96,15 @@ func scatter(ctx context.Context, sup router, cfg scatterConfig, in io.Reader, o
 					Phase: vs2.PhaseShard, Stage: "route", Err: err,
 				}})
 			}
-			results <- emitted{index: i, line: line, dt: dt}
+			replies.Put(i, line, func() {
+				tallyLine(line, &st, cfg.metrics)
+				dt.emitted() // nil-safe
+			})
 		}()
 		return nil
 	})
 	wg.Wait()
-	close(results)
-	<-collectDone
-	bw.Flush() //nolint:errcheck
+	st.writeErr = replies.Close()
 
 	st.docs = index
 	if scanErr != nil {
@@ -212,8 +178,11 @@ func serveListener(ctx context.Context, l net.Listener, rt router, m *vs2.Metric
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			defer func() { <-sem }()
+			// The slot frees before the close reaches the client, so a
+			// client that sees its stream end and reconnects at once is
+			// never shed by its own finished connection.
 			defer conn.Close()
+			defer func() { <-sem }()
 			var in io.Reader = conn
 			if o.idleTimeout > 0 {
 				in = &idleConn{conn: conn, timeout: o.idleTimeout, m: m, errw: errw}
@@ -227,8 +196,12 @@ func serveListener(ctx context.Context, l net.Listener, rt router, m *vs2.Metric
 				stitch:  stitch,
 				level:   level,
 			}, in, conn, errw)
-			fmt.Fprintf(errw, "vs2d: %s: %d documents: %d completed, %d failed\n",
+			summary := fmt.Sprintf("vs2d: %s: %d documents: %d completed, %d failed",
 				conn.RemoteAddr(), st.docs, st.completed, st.failed)
+			if st.writeErr != nil {
+				summary += fmt.Sprintf(", reply write failed: %v", st.writeErr)
+			}
+			fmt.Fprintln(errw, summary)
 		}()
 	}
 }
@@ -267,85 +240,4 @@ func (ic *idleConn) Read(p []byte) (int, error) {
 		return n, io.EOF
 	}
 	return n, err
-}
-
-// scanLines streams the JSONL input line by line, invoking fn for each
-// non-blank line. Errors carry the input name and 1-based line number;
-// a line longer than maxLine aborts rather than silently truncating.
-func scanLines(r io.Reader, name string, maxLine int, fn func(raw []byte) error) error {
-	br := bufio.NewReaderSize(r, 64<<10)
-	for lineNo := 1; ; lineNo++ {
-		line, err := readLimitedLine(br, maxLine)
-		if err == errLineTooLong {
-			return fmt.Errorf("%s:%d: line exceeds -max-line %d bytes", name, lineNo, maxLine)
-		}
-		if err != nil && err != io.EOF {
-			return fmt.Errorf("%s:%d: %w", name, lineNo, err)
-		}
-		trimmed := trimSpace(line)
-		if len(trimmed) > 0 {
-			if ferr := fn(trimmed); ferr != nil {
-				return fmt.Errorf("%s:%d: %w", name, lineNo, ferr)
-			}
-		}
-		if err == io.EOF {
-			return nil
-		}
-	}
-}
-
-var errLineTooLong = errors.New("line too long")
-
-// readLimitedLine reads one '\n'-terminated line (newline stripped),
-// failing with errLineTooLong once the line outruns max instead of
-// buffering it.
-func readLimitedLine(br *bufio.Reader, max int) ([]byte, error) {
-	var line []byte
-	for {
-		chunk, err := br.ReadSlice('\n')
-		line = append(line, chunk...)
-		switch {
-		case err == nil:
-			line = line[:len(line)-1]
-			if len(line) > max {
-				return nil, errLineTooLong
-			}
-			return line, nil
-		case err == bufio.ErrBufferFull:
-			if len(line) > max {
-				return nil, errLineTooLong
-			}
-		default:
-			if len(line) > max {
-				return nil, errLineTooLong
-			}
-			return line, err
-		}
-	}
-}
-
-func trimSpace(b []byte) []byte {
-	start := 0
-	for start < len(b) && (b[start] == ' ' || b[start] == '\t' || b[start] == '\r') {
-		start++
-	}
-	end := len(b)
-	for end > start && (b[end-1] == ' ' || b[end-1] == '\t' || b[end-1] == '\r') {
-		end--
-	}
-	return b[start:end]
-}
-
-// decodeDocument accepts a labelled document or a bare one, matching the
-// vs2 and vs2serve loaders.
-func decodeDocument(raw []byte) (*vs2.Document, error) {
-	var l vs2.Labeled
-	if err := json.Unmarshal(raw, &l); err == nil && l.Doc != nil {
-		return l.Doc, nil
-	}
-	var d vs2.Document
-	if err := json.Unmarshal(raw, &d); err != nil {
-		return nil, err
-	}
-	return &d, nil
 }

@@ -1,11 +1,14 @@
 package main
 
-// Serve-path hardening tests: the connection cap and idle deadline run
-// against a fake router, so no child-process fleet is needed. A scatter
-// stream answers when it ends (output is buffered per stream), so each
-// probe connection writes, half-closes, then reads its replies.
+// Serve-path tests: the reply contract, the connection cap and the idle
+// deadline run against a fake router, so no child-process fleet is
+// needed. A reply is written as soon as it and every earlier reply of
+// its connection are ready, so a client can read while its stream is
+// still open; probes that want every reply write, half-close, then read
+// to the end.
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -84,6 +87,29 @@ func exchange(t *testing.T, conn net.Conn, docs string) string {
 		t.Fatalf("read: %v", err)
 	}
 	return string(reply)
+}
+
+// TestServeRepliesWithoutHalfClose: a client that keeps its stream open
+// reads each reply once it is ready, without half-closing or sending
+// more documents.
+func TestServeRepliesWithoutHalfClose(t *testing.T) {
+	o := &options{shards: 1, task: "events", maxLine: 1 << 20, maxConns: 4, workers: 1, queue: 4}
+	addr, _, stop := startFakeListener(t, o, &fakeRouter{})
+	defer stop()
+
+	conn := dialT(t, addr)
+	defer conn.Close()
+	if _, err := conn.Write([]byte(`{"id":"open-stream"}` + "\n")); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(2 * time.Second)) //nolint:errcheck
+	reply, err := bufio.NewReader(conn).ReadString('\n')
+	if err != nil {
+		t.Fatalf("reading the reply with the stream open: %v", err)
+	}
+	if !strings.Contains(reply, "open-stream") {
+		t.Fatalf("reply = %q, want its echo", reply)
+	}
 }
 
 // TestServeConnLimitSheds: with -max-conns 1, a second concurrent

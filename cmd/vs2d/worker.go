@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"vs2"
+	"vs2/internal/jsonl"
 	"vs2/internal/shard"
 )
 
@@ -194,7 +195,7 @@ func runWorker(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	index := 0
 	// Requests wrap the document line in a small key envelope; allow the
 	// envelope beyond the front end's own -max-line.
-	scanErr := scanLines(stdin, fmt.Sprintf("shard-%d stdin", *shardID), *maxLine+4096, func(raw []byte) error {
+	scanErr := jsonl.ScanLines(stdin, fmt.Sprintf("shard-%d stdin", *shardID), *maxLine+4096, func(raw []byte) error {
 		var req shard.Request
 		if err := json.Unmarshal(raw, &req); err != nil {
 			logf("bad request skipped: %v", err)
@@ -226,7 +227,7 @@ func runWorker(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		}
 		i := index
 		index++
-		d, derr := decodeDocument(req.Doc)
+		d, derr := jsonl.DecodeDocument(req.Doc)
 		if derr != nil {
 			respond(shard.Response{Key: req.Key, Line: vs2.RenderLine(vs2.BatchResult{
 				Err: &vs2.Error{Phase: vs2.PhaseShard, Stage: "decode", Err: derr},

@@ -37,7 +37,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -53,6 +52,7 @@ import (
 
 	"vs2"
 	"vs2/internal/admin"
+	"vs2/internal/jsonl"
 	"vs2/internal/obs"
 )
 
@@ -413,42 +413,15 @@ type streamStats struct {
 	runErr                                            bool
 }
 
-// emitted is one document's outcome on its way to ordered emission.
-type emitted struct {
-	index int
-	line  []byte
-	stats func(*streamStats)
-}
-
 // streamExtract reads the corpus incrementally, runs each document
 // through the server (skipping journal-completed ones), and emits one
-// line per document on stdout in input order. Memory stays bounded by
-// the in-flight window plus the reorder buffer it implies.
+// line per document on stdout in input order, each as soon as it and
+// every earlier line are ready. Memory stays bounded by the in-flight
+// window plus the reorder buffer it implies.
 func streamExtract(ctx context.Context, s *vs2.Server, jrn *vs2.Journal, cfg streamConfig) streamStats {
 	var st streamStats
 
-	out := bufio.NewWriterSize(cfg.stdout, 1<<16)
-	results := make(chan emitted, cfg.window)
-	collectDone := make(chan struct{})
-	go func() {
-		defer close(collectDone)
-		pending := map[int][]byte{}
-		updates := map[int]func(*streamStats){}
-		next := 0
-		for e := range results {
-			pending[e.index] = e.line
-			updates[e.index] = e.stats
-			for line, ok := pending[next]; ok; line, ok = pending[next] {
-				out.Write(line)     //nolint:errcheck
-				out.WriteByte('\n') //nolint:errcheck
-				updates[next](&st)  // counters applied in emission order
-				delete(pending, next)
-				delete(updates, next)
-				next++
-			}
-		}
-	}()
-
+	replies := jsonl.NewWriter(cfg.stdout, cfg.window)
 	sem := make(chan struct{}, cfg.window)
 	var wg sync.WaitGroup
 	var traceMu sync.Mutex
@@ -464,17 +437,20 @@ func streamExtract(ctx context.Context, s *vs2.Server, jrn *vs2.Journal, cfg str
 			start := time.Now()
 			br := extractOne(ctx, s, jrn, i, d, cfg.traceW, &traceMu)
 			cfg.latency.Observe(float64(time.Since(start)) / float64(time.Millisecond))
-			results <- emitted{index: i, line: br.Line, stats: statsFor(br)}
+			count := statsFor(br)
+			replies.Put(i, br.Line, func() { count(&st) }) // counters applied in emission order
 		}()
 	})
 	wg.Wait()
-	close(results)
-	<-collectDone
-	out.Flush() //nolint:errcheck
+	writeErr := replies.Close()
 
 	st.docs = index
 	if scanErr != nil {
 		fmt.Fprintln(cfg.stderr, "vs2serve:", scanErr)
+		st.runErr = true
+	}
+	if writeErr != nil {
+		fmt.Fprintln(cfg.stderr, "vs2serve: writing results:", writeErr)
 		st.runErr = true
 	}
 	return st
@@ -552,83 +528,14 @@ func scanDocuments(path string, stdin io.Reader, maxLine int, fn func(*vs2.Docum
 		r = f
 		name = path
 	}
-	br := bufio.NewReaderSize(r, 64<<10)
-	for lineNo := 1; ; lineNo++ {
-		line, err := readLimitedLine(br, maxLine)
-		if err == errLineTooLong {
-			return fmt.Errorf("%s:%d: line exceeds -max-line %d bytes", name, lineNo, maxLine)
+	return jsonl.ScanLines(r, name, maxLine, func(raw []byte) error {
+		d, err := jsonl.DecodeDocument(raw)
+		if err != nil {
+			return err
 		}
-		if err != nil && err != io.EOF {
-			return fmt.Errorf("%s:%d: %w", name, lineNo, err)
-		}
-		trimmed := trimSpace(line)
-		if len(trimmed) > 0 {
-			d, derr := decodeDocument(trimmed)
-			if derr != nil {
-				return fmt.Errorf("%s:%d: %w", name, lineNo, derr)
-			}
-			fn(d)
-		}
-		if err == io.EOF {
-			return nil
-		}
-	}
-}
-
-var errLineTooLong = errors.New("line too long")
-
-// readLimitedLine reads one '\n'-terminated line (newline stripped),
-// failing with errLineTooLong once the line outruns max instead of
-// buffering it.
-func readLimitedLine(br *bufio.Reader, max int) ([]byte, error) {
-	var line []byte
-	for {
-		chunk, err := br.ReadSlice('\n')
-		line = append(line, chunk...)
-		switch {
-		case err == nil:
-			line = line[:len(line)-1]
-			if len(line) > max {
-				return nil, errLineTooLong
-			}
-			return line, nil
-		case err == bufio.ErrBufferFull:
-			if len(line) > max {
-				return nil, errLineTooLong
-			}
-		default:
-			if len(line) > max {
-				return nil, errLineTooLong
-			}
-			return line, err
-		}
-	}
-}
-
-func trimSpace(b []byte) []byte {
-	start := 0
-	for start < len(b) && (b[start] == ' ' || b[start] == '\t' || b[start] == '\r') {
-		start++
-	}
-	end := len(b)
-	for end > start && (b[end-1] == ' ' || b[end-1] == '\t' || b[end-1] == '\r') {
-		end--
-	}
-	return b[start:end]
-}
-
-// decodeDocument accepts a labelled document or a bare one, matching
-// the vs2 command's loader.
-func decodeDocument(raw []byte) (*vs2.Document, error) {
-	var l vs2.Labeled
-	if err := json.Unmarshal(raw, &l); err == nil && l.Doc != nil {
-		return l.Doc, nil
-	}
-	var d vs2.Document
-	if err := json.Unmarshal(raw, &d); err != nil {
-		return nil, err
-	}
-	return &d, nil
+		fn(d)
+		return nil
+	})
 }
 
 // tasks maps every task name to its constructor; taskNames and

@@ -13,7 +13,9 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
 
 	"vs2"
 )
@@ -158,6 +160,91 @@ func TestServeOutputOrderMatchesInput(t *testing.T) {
 		if l.ID != wantIDs[i] {
 			t.Fatalf("output line %d is %s, want %s (input order must be preserved)", i, l.ID, wantIDs[i])
 		}
+	}
+}
+
+// TestServeRepliesBeforeInputEnds: a result line reaches stdout as soon
+// as it is ready, while stdin is still open.
+func TestServeRepliesBeforeInputEnds(t *testing.T) {
+	inR, inW := io.Pipe()
+	outR, outW := io.Pipe()
+	var stderr bytes.Buffer
+	done := make(chan int, 1)
+	go func() {
+		code := run([]string{"-task", "events", "-queue-wait", "10m"}, inR, outW, &stderr)
+		outW.Close()
+		done <- code
+	}()
+	lines := make(chan string, 2)
+	go func() {
+		defer close(lines)
+		br := bufio.NewReader(outR)
+		for {
+			line, err := br.ReadString('\n')
+			if err != nil {
+				return
+			}
+			lines <- line
+		}
+	}()
+
+	stream := posterStream(t, 2).String()
+	docs := strings.SplitAfter(stream, "\n")
+	if _, err := io.WriteString(inW, docs[0]); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case line := <-lines:
+		var l vs2.Labeled
+		if err := json.Unmarshal([]byte(docs[0]), &l); err != nil {
+			t.Fatal(err)
+		}
+		if got := parseLines(t, line); got[0].ID != l.Doc.ID || got[0].Error != "" {
+			t.Fatalf("first reply = %q, want a result for %s", line, l.Doc.ID)
+		}
+	case <-time.After(time.Minute):
+		t.Fatal("no result line while stdin is open")
+	}
+	if _, err := io.WriteString(inW, docs[1]); err != nil {
+		t.Fatal(err)
+	}
+	inW.Close()
+	if line, ok := <-lines; !ok || parseLines(t, line)[0].Error != "" {
+		t.Fatalf("second reply = %q", line)
+	}
+	if code := <-done; code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, stderr.String())
+	}
+}
+
+// fullDisk accepts limit bytes, then fails every write the way a full
+// file system does.
+type fullDisk struct {
+	limit int
+}
+
+func (f *fullDisk) Write(p []byte) (int, error) {
+	if len(p) > f.limit {
+		n := f.limit
+		f.limit = 0
+		return n, syscall.ENOSPC
+	}
+	f.limit -= len(p)
+	return len(p), nil
+}
+
+// TestServeStdoutWriteErrorFails: when stdout stops accepting results,
+// the run reports the write error and exits 1 instead of exiting 0 with
+// truncated output.
+func TestServeStdoutWriteErrorFails(t *testing.T) {
+	var stderr bytes.Buffer
+	code := run([]string{"-task", "events", "-workers", "2", "-queue-wait", "10m"},
+		posterStream(t, 3), &fullDisk{limit: 100}, &stderr)
+	if code != 1 {
+		t.Fatalf("exit %d, want 1; stderr: %s", code, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "vs2serve: writing results: no space left on device") {
+		t.Fatalf("stderr lacks the write error:\n%s", stderr.String())
 	}
 }
 

@@ -382,7 +382,6 @@ func (p *Pipeline) ExtractContext(ctx context.Context, d *Document) (*Result, er
 		m.Counter("entities.extracted").Add(int64(len(entities)))
 		m.Counter("candidates.found").Add(int64(total))
 		m.Counter("candidates.rejected").Add(int64(total - len(entities)))
-		m.Gauge("last.blocks").Set(float64(len(blocks)))
 		run.SetAttr("blocks", len(blocks))
 		run.SetAttr("entities", len(entities))
 		run.SetAttr("candidates", total)
