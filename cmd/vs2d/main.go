@@ -2,11 +2,11 @@
 // serving stack: it consistent-hash-routes documents by ID across N
 // supervised worker shards, each a child process running the familiar
 // vs2serve-style loop — bounded worker pool, retries, breakers — with
-// its own write-ahead journal and checkpoint. The supervisor probes
-// every shard for liveness, restarts crashed shards with exponential
-// backoff (the restarted child resumes its own journal, replaying
-// completed documents instead of re-extracting them), and fails a
-// crash-looping shard's keyspace over to its ring successors.
+// its own write-ahead journal. The supervisor probes every shard for
+// liveness, restarts crashed shards with exponential backoff (the
+// restarted child resumes its own journal, replaying completed
+// documents instead of re-extracting them), and fails a crash-looping
+// shard's keyspace over to its ring successors.
 //
 // Two front-end modes share the scatter/merge engine:
 //
@@ -18,10 +18,11 @@
 //     JSONL stream with the same per-connection ordering contract.
 //
 // Durability: -state names a directory holding one journal per shard
-// (shard-K.wal, plus its checkpoint and pidfile). A run without -resume
-// starts fresh; with -resume every shard replays its own journal — and
-// only its own: journals are owner-stamped, so a misrouted state
-// directory fails loudly instead of replaying another shard's results.
+// (shard-K.wal and its pidfile; a scale-in handoff also leaves a
+// shard-K.wal.ckpt checkpoint). A run without -resume starts fresh;
+// with -resume every shard replays its own journal — and only its own:
+// journals are owner-stamped, so a misrouted state directory fails
+// loudly instead of replaying another shard's results.
 //
 // Usage:
 //
@@ -69,20 +70,19 @@ func main() {
 
 // options carries the parsed and validated front-end configuration.
 type options struct {
-	shards    int
-	task      string
-	state     string
-	resume    bool
-	listen    string
-	in        string
-	workers   int
-	queue     int
-	retries   int
-	maxLine   int
-	jsync     string
-	ckptEvery int
-	timeout   time.Duration
-	metrics   bool
+	shards  int
+	task    string
+	state   string
+	resume  bool
+	listen  string
+	in      string
+	workers int
+	queue   int
+	retries int
+	maxLine int
+	jsync   string
+	timeout time.Duration
+	metrics bool
 
 	admin       string
 	trace       string
@@ -118,7 +118,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	var o options
 	fs.IntVar(&o.shards, "shards", 2, "number of worker shards (child processes)")
 	fs.StringVar(&o.task, "task", "events", "extraction task: "+strings.Join(taskNames(), " | "))
-	fs.StringVar(&o.state, "state", "", "state directory: one write-ahead journal + checkpoint per shard; empty disables durability")
+	fs.StringVar(&o.state, "state", "", "state directory: one write-ahead journal per shard; empty disables durability")
 	fs.BoolVar(&o.resume, "resume", false, "resume from -state: each shard replays its own journal, completed documents re-emit byte for byte")
 	fs.StringVar(&o.listen, "listen", "", "serve mode: accept JSONL document streams on this TCP address instead of running one batch")
 	fs.StringVar(&o.in, "in", "", "batch mode input (JSONL, one document per line); default stdin")
@@ -127,7 +127,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs.IntVar(&o.retries, "retries", 0, "attempts per document inside a shard, first try included (0 = 3)")
 	fs.IntVar(&o.maxLine, "max-line", 16<<20, "largest input line accepted, in bytes")
 	fs.StringVar(&o.jsync, "journal-sync", "always", "shard journal fsync policy: always | interval | never")
-	fs.IntVar(&o.ckptEvery, "checkpoint", 256, "compact each shard's journal every N completions (0 = only at exit)")
 	fs.DurationVar(&o.timeout, "timeout", 10*time.Minute, "overall batch deadline (0 = none)")
 	fs.BoolVar(&o.metrics, "metrics", false, "print the supervisor metrics snapshot to stderr after the run")
 	fs.StringVar(&o.admin, "admin", "", "admin HTTP listener address (/metrics, /healthz, /readyz, /slo, /debug/pprof); empty disables")
@@ -445,9 +444,6 @@ func validate(o *options) error {
 	if o.maxLine <= 0 {
 		return fmt.Errorf("-max-line must be positive")
 	}
-	if o.ckptEvery < 0 {
-		return fmt.Errorf("-checkpoint must be >= 0")
-	}
 	if o.maxConns < 1 {
 		return fmt.Errorf("-max-conns must be >= 1 (got %d)", o.maxConns)
 	}
@@ -585,7 +581,6 @@ func workerArgs(o *options, i int) []string {
 		a = append(a,
 			"-journal", shardJournal(o.state, i),
 			"-journal-sync", o.jsync,
-			"-checkpoint", strconv.Itoa(o.ckptEvery),
 		)
 	}
 	if o.telInterval > 0 {

@@ -54,7 +54,7 @@ func TestValidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := func() options {
-		return options{shards: 2, task: "events", maxLine: 1024, ckptEvery: 256,
+		return options{shards: 2, task: "events", maxLine: 1024,
 			maxConns: 256, reconfigTimeout: time.Minute}
 	}
 	cases := []struct {
@@ -70,7 +70,7 @@ func TestValidate(t *testing.T) {
 		{"resume with state", func(o *options) { o.resume = true; o.state = writable }, ""},
 		{"listen and in", func(o *options) { o.listen = ":0"; o.in = "x.jsonl" }, "mutually exclusive"},
 		{"zero max-line", func(o *options) { o.maxLine = 0 }, "-max-line"},
-		{"negative checkpoint", func(o *options) { o.ckptEvery = -1 }, "-checkpoint"},
+		{"unknown fidelity", func(o *options) { o.fidelity = "bogus" }, "-fidelity"},
 		{"zero max-conns", func(o *options) { o.maxConns = 0 }, "-max-conns"},
 		{"negative idle timeout", func(o *options) { o.idleTimeout = -time.Second }, "-idle-timeout"},
 		{"zero reconfig timeout", func(o *options) { o.reconfigTimeout = 0 }, "-reconfig-timeout"},
@@ -350,7 +350,7 @@ func TestListenMode(t *testing.T) {
 		t.Skip("spawns a real child-process fleet; skipped in -short")
 	}
 	o := &options{
-		shards: 2, task: "events", maxLine: 16 << 20, ckptEvery: 256,
+		shards: 2, task: "events", maxLine: 16 << 20,
 		probeInterval: 100 * time.Millisecond, probeTimeout: 5 * time.Second,
 		restartBackoff: 20 * time.Millisecond, restartMax: time.Second,
 		maxRestarts: 3, drainGrace: 5 * time.Second,

@@ -12,7 +12,7 @@ package main
 //
 // Stdin EOF is the shutdown signal: the parent closed the pipe (orderly
 // drain or front-end death); the worker finishes its in-flight
-// documents, journals, compacts and exits. Stdout write failures are
+// documents, journals them and exits. Stdout write failures are
 // deliberately ignored — a dead front end cannot read responses, and
 // the matching EOF is already on its way.
 
@@ -43,7 +43,6 @@ func runWorker(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	maxLine := fs.Int("max-line", 16<<20, "largest document line accepted, in bytes")
 	jpath := fs.String("journal", "", "write-ahead journal path (empty disables durability)")
 	jsync := fs.String("journal-sync", "always", "journal fsync policy: always | interval | never")
-	ckpt := fs.Int("checkpoint", 256, "compact the journal every N completions (0 = only at exit)")
 	telInterval := fs.Duration("telemetry-interval", 0, "ship metric deltas and completed spans up the response pipe this often (0 disables)")
 	traceSpans := fs.Bool("trace-spans", false, "trace each extracted document and ship its span tree with the telemetry")
 	fidelity := fs.String("fidelity", "off", "fidelity ladder mode: off | pinned | adaptive (the front end passes pinned 0: envelope levels decide per document)")
@@ -91,17 +90,16 @@ func runWorker(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	var jrn *vs2.Journal
 	if *jpath != "" {
 		jrn, err = vs2.OpenJournal(*jpath, vs2.JournalOptions{
-			Resume:       true,
-			Sync:         *jsync,
-			CompactEvery: *ckpt,
-			Owner:        fmt.Sprintf("shard-%d", *shardID),
+			Resume: true,
+			Sync:   *jsync,
+			Owner:  fmt.Sprintf("shard-%d", *shardID),
 		})
 		if err != nil {
 			logf("%v", err)
 			return 2
 		}
-		if comp, infl := jrn.Replayed(); comp > 0 || infl > 0 {
-			logf("resumed journal: %d completions replayed, %d in-flight re-extract", comp, infl)
+		if comp := jrn.Replayed(); comp > 0 {
+			logf("resumed journal: %d completions replayed", comp)
 		}
 	}
 

@@ -20,13 +20,14 @@
 // -trace writes one compact span tree per document as JSONL — the
 // stream format vs2trace validates.
 //
-// Durability: -journal names a CRC-framed write-ahead journal in which
-// every completion is recorded (with its exact output line) before it is
-// emitted; -resume replays that journal, re-emits completed documents'
-// lines byte for byte without re-running them, and continues with the
-// rest — `kill -9` at any instant then -resume reproduces the output of
-// an uninterrupted run. -checkpoint compacts the journal into an atomic
-// snapshot every N completions.
+// Durability: -journal names a CRC-framed write-ahead journal that holds
+// one record per document, its completion with the exact output line,
+// written (and by default fsynced) before the line is emitted; -resume
+// replays that journal, re-emits completed documents' lines byte for
+// byte without re-running them, and continues with the rest — `kill -9`
+// at any instant then -resume reproduces the output of an uninterrupted
+// run. Nothing rewrites the journal while serving, so each document
+// costs the same one append however long the run.
 //
 // Usage:
 //
@@ -87,7 +88,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		journalPath = fs.String("journal", "", "write-ahead journal path; completions are journaled before they are emitted")
 		resume      = fs.Bool("resume", false, "replay the journal: skip completed documents, re-emit their cached lines, continue the tail")
 		jsync       = fs.String("journal-sync", "always", "journal fsync policy: always | interval | never")
-		checkpoint  = fs.Int("checkpoint", 256, "compact the journal into a checkpoint every N completions (0 = only at exit)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -96,7 +96,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	if err := validateServeFlags(serveFlags{
 		task:       *task,
 		maxLine:    *maxLine,
-		checkpoint: *checkpoint,
 		journal:    *journalPath,
 		resume:     *resume,
 		fidelity:   *fidelity,
@@ -116,18 +115,16 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	var jrn *vs2.Journal
 	if *journalPath != "" {
 		jrn, err = vs2.OpenJournal(*journalPath, vs2.JournalOptions{
-			Resume:       *resume,
-			Sync:         *jsync,
-			CompactEvery: *checkpoint,
-			Metrics:      m,
+			Resume:  *resume,
+			Sync:    *jsync,
+			Metrics: m,
 		})
 		if err != nil {
 			fmt.Fprintln(stderr, "vs2serve:", err)
 			return 2
 		}
-		if comp, inflight := jrn.Replayed(); *resume && (comp > 0 || inflight > 0) {
-			fmt.Fprintf(stderr, "vs2serve: journal %s: recovered %d completed documents, %d were in flight at the crash\n",
-				*journalPath, comp, inflight)
+		if comp := jrn.Replayed(); *resume && comp > 0 {
+			fmt.Fprintf(stderr, "vs2serve: journal %s: recovered %d completed documents\n", *journalPath, comp)
 		}
 	}
 
@@ -338,7 +335,6 @@ func serveSLO(m *vs2.Metrics, win *obs.Window) admin.SLOStatus {
 type serveFlags struct {
 	task       string
 	maxLine    int
-	checkpoint int
 	journal    string
 	resume     bool
 	fidelity   string
@@ -358,9 +354,6 @@ func validateServeFlags(f serveFlags) error {
 	}
 	if f.maxLine <= 0 {
 		return errors.New("-max-line must be positive")
-	}
-	if f.checkpoint < 0 {
-		return errors.New("-checkpoint must be >= 0")
 	}
 	switch f.fidelity {
 	case "", vs2.FidelityOff, vs2.FidelityPinned, vs2.FidelityAdaptive:
@@ -382,8 +375,7 @@ func validateServeFlags(f serveFlags) error {
 }
 
 // writableParent proves the path's directory exists and accepts new
-// files — the journal and its checkpoint both land there, and the
-// checkpoint's atomic-rename protocol creates temp files beside them.
+// files, so the journal can be created there.
 func writableParent(path string) error {
 	dir := filepath.Dir(path)
 	probe, err := os.CreateTemp(dir, ".vs2serve-probe-*")

@@ -468,7 +468,7 @@ func TestServeFlagValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := func() serveFlags {
-		return serveFlags{task: "events", maxLine: 1024, checkpoint: 256}
+		return serveFlags{task: "events", maxLine: 1024}
 	}
 	cases := []struct {
 		name    string
@@ -481,7 +481,7 @@ func TestServeFlagValidation(t *testing.T) {
 		{"resume with journal", func(f *serveFlags) { f.resume = true; f.journal = filepath.Join(writable, "r.wal") }, ""},
 		{"zero max-line", func(f *serveFlags) { f.maxLine = 0 }, "-max-line"},
 		{"negative max-line", func(f *serveFlags) { f.maxLine = -5 }, "-max-line"},
-		{"negative checkpoint", func(f *serveFlags) { f.checkpoint = -1 }, "-checkpoint"},
+		{"unknown fidelity", func(f *serveFlags) { f.fidelity = "bogus" }, "-fidelity"},
 		{"negative template cache", func(f *serveFlags) { f.tplCap = -1 }, "-template-cache"},
 		{"negative template quantum", func(f *serveFlags) { f.tplQuantum = -0.5 }, "-template-quantum"},
 		{"template cache on", func(f *serveFlags) { f.tplCap = 64; f.tplQuantum = 8 }, ""},
@@ -510,16 +510,16 @@ func TestServeFlagValidation(t *testing.T) {
 	}
 }
 
-// TestServeNegativeCheckpointExitsUsage: the new invariant reaches the
-// CLI surface with exit code 2.
-func TestServeNegativeCheckpointExitsUsage(t *testing.T) {
+// TestServeUnknownFidelityExitsUsage: a flag invariant reaches the CLI
+// surface with exit code 2.
+func TestServeUnknownFidelityExitsUsage(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	code := run([]string{"-task", "events", "-checkpoint", "-3"}, &bytes.Buffer{}, &stdout, &stderr)
+	code := run([]string{"-task", "events", "-fidelity", "bogus"}, &bytes.Buffer{}, &stdout, &stderr)
 	if code != 2 {
 		t.Fatalf("exit %d, want 2\nstderr: %s", code, stderr.String())
 	}
-	if !strings.Contains(stderr.String(), "-checkpoint") {
-		t.Fatalf("stderr = %s, want -checkpoint diagnostic", stderr.String())
+	if !strings.Contains(stderr.String(), "-fidelity") {
+		t.Fatalf("stderr = %s, want -fidelity diagnostic", stderr.String())
 	}
 }
 

@@ -1,13 +1,13 @@
 // durable.go is the durability layer over the serving layer: a
-// write-ahead journal of corpus progress (admissions, degradations,
-// completions with their rendered result lines) plus checkpoint
-// compaction, so a long batch run killed at any instant resumes without
-// losing, duplicating or reordering a single result. The framing,
-// replay and checkpoint mechanics live in internal/journal; this file
-// binds them to the Server's per-document lifecycle and the PR 3 retry
-// classifier: completed documents and permanent rejections are safe to
-// replay from the journal verbatim, transient failures are not recorded
-// and re-extract on resume.
+// write-ahead journal of corpus progress — one completion record per
+// document, carrying its rendered result line — so a long batch run
+// killed at any instant resumes without losing, duplicating or
+// reordering a single result. The framing, replay and checkpoint
+// mechanics live in internal/journal; this file binds them to the
+// Server's per-document lifecycle and the retry classifier: completed
+// documents and permanent rejections are safe to replay from the
+// journal verbatim, transient failures are not recorded and re-extract
+// on resume.
 package vs2
 
 import (
@@ -38,9 +38,6 @@ type JournalOptions struct {
 	Sync string
 	// SyncEvery is the "interval" cadence; 0 selects 64.
 	SyncEvery int
-	// CompactEvery checkpoints and truncates the journal after that many
-	// new completions; 0 compacts only on Close.
-	CompactEvery int
 	// MaxRecord bounds one journal record; 0 selects 16 MiB.
 	MaxRecord int
 	// Owner, when non-empty, stamps the journal and checkpoint with this
@@ -63,8 +60,9 @@ type Journal struct {
 	path string
 }
 
-// OpenJournal opens (or, with Resume, recovers) the journal at path. The
-// checkpoint lives at path+".ckpt". Recovery replays checkpoint then
+// OpenJournal opens (or, with Resume, recovers) the journal at path. A
+// checkpoint, when a shard handoff's compaction left one, lives at
+// path+".ckpt". Recovery replays checkpoint then
 // journal, drops a torn tail (counting the bytes in the metrics), and
 // truncates the tear so new records append cleanly.
 func OpenJournal(path string, o JournalOptions) (*Journal, error) {
@@ -79,9 +77,8 @@ func OpenJournal(path string, o JournalOptions) (*Journal, error) {
 			MaxRecord: o.MaxRecord,
 			Metrics:   o.Metrics,
 		},
-		Resume:       o.Resume,
-		CompactEvery: o.CompactEvery,
-		Owner:        o.Owner,
+		Resume: o.Resume,
+		Owner:  o.Owner,
 	})
 	if err != nil {
 		return nil, err
@@ -98,32 +95,20 @@ func (j *Journal) Completed(id string) ([]byte, bool) {
 	return j.st.Completed(id)
 }
 
-// Replayed reports what recovery found: completions restored and
-// documents the crashed run had admitted but never finished (these
-// re-extract).
-func (j *Journal) Replayed() (completions, inflight int) {
+// Replayed reports how many completions recovery restored. A document
+// the crashed run never completed has no record and re-extracts.
+func (j *Journal) Replayed() int {
 	if j == nil {
-		return 0, 0
+		return 0
 	}
 	return j.st.Replayed()
 }
 
-// Compact checkpoints the completed set and truncates the journal.
-func (j *Journal) Compact() error {
-	if j == nil {
-		return nil
-	}
-	return j.st.Compact()
-}
-
-// Close compacts (bounding the next resume's replay work) and closes.
+// Close syncs and closes the journal. It writes no checkpoint: the
+// journal alone carries every completion, and a resume replays it.
 func (j *Journal) Close() error {
 	if j == nil {
 		return nil
-	}
-	if err := j.st.Compact(); err != nil {
-		j.st.Close() //nolint:errcheck
-		return err
 	}
 	return j.st.Close()
 }
@@ -214,11 +199,15 @@ func recordKey(d *Document, index int) string {
 //
 //   - A document the journal already holds is skipped idempotently; its
 //     cached line returns with Replayed set and the pipeline never runs.
-//   - Otherwise the admission is journaled, the document extracted, its
-//     degradations journaled, and — for completions and permanent
-//     rejections (see IsTransient) — its rendered line journaled as a
-//     completion *before* the caller sees it: the write-ahead contract
-//     that makes a crash between journal and output emission safe.
+//   - Otherwise the document is extracted and — for completions and
+//     permanent rejections (see IsTransient) — its rendered line
+//     journaled as one completion record *before* the caller sees it:
+//     the write-ahead contract that makes a crash between journal and
+//     output emission safe. That record is the document's only journal
+//     write, so durability costs one append (and, under the "always"
+//     policy, one fsync) per document. The line already carries every
+//     degradation, and a document with no record re-extracts on resume
+//     whether or not it had started.
 //   - Transient failures (sheds, breaker trips, budget overruns, panics
 //     that exhausted retries) are not recorded as completions: a resumed
 //     run re-extracts them rather than replaying a flake forever.
@@ -242,35 +231,16 @@ func (s *Server) ExtractRecordedKey(ctx context.Context, index int, key string, 
 		s.m.Counter("serve.replayed").Inc()
 		return br
 	}
-	if j != nil {
-		if err := j.st.Admit(key, index); err != nil {
-			br.Err = &Error{Phase: PhaseJournal, Stage: "admit", Err: err}
-			br.Line = RenderLine(br)
-			return br
-		}
-	}
 	br.Result, br.Err = s.Extract(ctx, d)
 	br.Line = RenderLine(br)
 	if j != nil && (br.Err == nil || !IsTransient(br.Err)) {
-		if br.Result != nil {
-			for _, g := range br.Result.Degraded {
-				if err := j.st.Degrade(key, string(g.Phase), g.Fallback); err != nil {
-					return journalFailed(br, "degrade", err)
-				}
-			}
-		}
 		if err := j.st.Complete(key, br.Line); err != nil {
-			return journalFailed(br, "complete", err)
+			// The result cannot be acknowledged because it was never made
+			// durable.
+			br.Result = nil
+			br.Err = &Error{Phase: PhaseJournal, Stage: "complete", Err: err}
+			br.Line = RenderLine(br)
 		}
 	}
-	return br
-}
-
-// journalFailed downgrades a finished document to a journal failure: the
-// result cannot be acknowledged because it was never made durable.
-func journalFailed(br BatchResult, stage string, err error) BatchResult {
-	br.Result = nil
-	br.Err = &Error{Phase: PhaseJournal, Stage: stage, Err: err}
-	br.Line = RenderLine(br)
 	return br
 }

@@ -73,7 +73,7 @@ func TestExtractBatchDurableResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j2.Close()
-	if comp, _ := j2.Replayed(); comp != len(docs) {
+	if comp := j2.Replayed(); comp != len(docs) {
 		t.Fatalf("recovered %d completions, want %d", comp, len(docs))
 	}
 	// The resumed server's search backend always fails: if replay touched

@@ -362,9 +362,8 @@ func TestStateResumeCycle(t *testing.T) {
 	if _, ok := r.Completed("d2"); ok {
 		t.Error("admitted-but-incomplete d2 reported as completed")
 	}
-	comp, inflight := r.Replayed()
-	if comp != 2 || inflight != 1 {
-		t.Errorf("replayed = %d/%d, want 2 completions, 1 in-flight", comp, inflight)
+	if comp := r.Replayed(); comp != 2 {
+		t.Errorf("replayed %d completions, want 2", comp)
 	}
 	if ids := r.CompletedIDs(); fmt.Sprint(ids) != "[d0 d1]" {
 		t.Errorf("completed IDs %v, want [d0 d1]", ids)

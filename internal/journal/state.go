@@ -11,11 +11,11 @@ import (
 	"vs2/internal/obs"
 )
 
-// Record is one durable corpus-processing event. Admission records mark
-// a document handed to the pipeline (so an interrupted run knows it may
-// have partially executed); completion records carry the document's
-// final result line; degradation records note each fallback the
-// pipeline took, for post-hoc replay auditing.
+// Record is one durable corpus-processing event. Completion records
+// carry the document's final result line and are all that replay
+// restores. Admission and degradation records (Admit, Degrade) are
+// informational: replay skips them, and the serving layer writes
+// neither.
 type Record struct {
 	// T is the record type: "admit", "complete" or "degrade".
 	T string `json:"t"`
@@ -67,10 +67,7 @@ type State struct {
 	opts      Options
 	seq       int64
 	completed map[string]Entry
-	// admitted counts admit records replayed for documents that never
-	// completed — the in-flight casualties of the previous crash.
-	admitted int
-	replayed int // completion records recovered (checkpoint + journal)
+	replayed  int // completion records recovered (checkpoint + journal)
 	// CompactEvery triggers a checkpoint compaction after that many new
 	// completions; 0 compacts only on explicit Compact calls.
 	compactEvery int
@@ -147,7 +144,7 @@ func OpenState(path string, so StateOptions) (*State, error) {
 // checkpoint still carries the previous owner; nothing on disk is
 // mutated before the check passes.
 func (s *State) recover() error {
-	completed, admits, stamped, seq, rst, err := loadEntries(s.path, s.ckptPath, s.opts.MaxRecord, s.m)
+	completed, stamped, seq, rst, err := loadEntries(s.path, s.ckptPath, s.opts.MaxRecord, s.m)
 	if err != nil {
 		return err
 	}
@@ -156,11 +153,6 @@ func (s *State) recover() error {
 	}
 	s.seq = seq
 	s.completed = completed
-	for id := range admits {
-		if _, done := s.completed[id]; !done {
-			s.admitted++
-		}
-	}
 	s.replayed = len(s.completed)
 	if rst.TruncatedBytes > 0 {
 		// Drop the torn tail on disk, or frames appended by this run
@@ -177,15 +169,14 @@ func (s *State) recover() error {
 // chain followed to its final stamp. It reads only — torn tails are
 // tolerated, not truncated — so read-only consumers (Load, adoption)
 // can use it against a journal they do not own the write handle for.
-func loadEntries(path, ckptPath string, maxRecord int, m *obs.Registry) (completed map[string]Entry, admits map[string]bool, stamped string, seq int64, rst ReplayStats, err error) {
+func loadEntries(path, ckptPath string, maxRecord int, m *obs.Registry) (completed map[string]Entry, stamped string, seq int64, rst ReplayStats, err error) {
 	ck, err := ReadCheckpoint(ckptPath)
 	if err != nil {
-		return nil, nil, "", 0, ReplayStats{}, err
+		return nil, "", 0, ReplayStats{}, err
 	}
 	seq = ck.Seq
 	stamped = ck.Owner
 	completed = ck.Entries
-	admits = map[string]bool{}
 	rst, err = ReplayFile(path, maxRecord, m, func(payload []byte) error {
 		var rec Record
 		if jerr := json.Unmarshal(payload, &rec); jerr != nil {
@@ -196,15 +187,13 @@ func loadEntries(path, ckptPath string, maxRecord int, m *obs.Registry) (complet
 			return nil
 		}
 		switch rec.T {
-		case RecordAdmit:
-			admits[rec.ID] = true
 		case RecordComplete:
 			if Digest([]byte(rec.Line)) == rec.Digest {
 				completed[rec.ID] = Entry{Digest: rec.Digest, Line: rec.Line}
 			} else {
 				m.Counter("journal.replay.bad_digest").Inc()
 			}
-		case RecordDegrade:
+		case RecordAdmit, RecordDegrade:
 			// Informational; nothing to restore.
 		case RecordOwner:
 			if rec.ID != "" {
@@ -216,9 +205,9 @@ func loadEntries(path, ckptPath string, maxRecord int, m *obs.Registry) (complet
 		return nil
 	})
 	if err != nil {
-		return nil, nil, "", 0, ReplayStats{}, err
+		return nil, "", 0, ReplayStats{}, err
 	}
-	return completed, admits, stamped, seq, rst, nil
+	return completed, stamped, seq, rst, nil
 }
 
 // Load reads the durable state at path without opening a writer or
@@ -233,7 +222,7 @@ func Load(path string, maxRecord int, owner string) (map[string]Entry, error) {
 	if maxRecord <= 0 {
 		maxRecord = (Options{}).withDefaults().MaxRecord
 	}
-	completed, _, stamped, _, _, err := loadEntries(path, path+".ckpt", maxRecord, nil)
+	completed, stamped, _, _, err := loadEntries(path, path+".ckpt", maxRecord, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -312,12 +301,11 @@ func (s *State) CompletedIDs() []string {
 	return ids
 }
 
-// Replayed returns how many completions were recovered at open, and how
-// many admitted-but-incomplete documents the previous run left behind.
-func (s *State) Replayed() (completions, inflight int) {
+// Replayed returns how many completions were recovered at open.
+func (s *State) Replayed() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.replayed, s.admitted
+	return s.replayed
 }
 
 // Compact checkpoints the completed set and truncates the journal: an

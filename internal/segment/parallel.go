@@ -7,13 +7,9 @@ import (
 
 // Stats aggregates one segmentation run's parallelism and cache
 // telemetry. A caller that wants them attaches a sink with WithStats
-// before SegmentContext; the extraction pipeline uses the result to
-// record a sequential-recursion degradation when the branch pool was
-// exhausted for the whole run.
+// before SegmentContext; the extraction pipeline publishes the fork
+// counts on its segment span and in the segment.forks counter.
 type Stats struct {
-	// Width is the resolved parallel width the run executed under
-	// (Options.Parallel after defaulting). Written once at run start.
-	Width int
 	// Spawned counts subtree recursions (and direction searches)
 	// forked onto the worker pool.
 	Spawned atomic.Int64
@@ -24,13 +20,6 @@ type Stats struct {
 	// EmbedHits / EmbedMisses count centroid-cache lookups during
 	// semantic merging.
 	EmbedHits, EmbedMisses atomic.Int64
-}
-
-// SequentialFallback reports whether a parallel-capable run executed
-// entirely sequentially because the pool never admitted a fork: the
-// degradation the pipeline surfaces in Result.Degraded.
-func (st *Stats) SequentialFallback() bool {
-	return st != nil && st.Width > 1 && st.Spawned.Load() == 0 && st.Inline.Load() > 0
 }
 
 func (st *Stats) addSpawned() {
@@ -47,9 +36,8 @@ func (st *Stats) addInline() {
 
 // StealGateForTest occupies every free slot of the segmenter's branch
 // gate, simulating a pool exhausted by concurrent runs; it reports
-// false for sequential segmenters (no gate). Test hook only — the
-// degradation path it exercises (gate denial → inline recursion →
-// Stats.Inline → "sequential-recursion" in Result.Degraded) cannot be
+// false for sequential segmenters (no gate). Test hook only — the path
+// it exercises (gate denial → inline recursion → Stats.Inline) cannot be
 // triggered deterministically from outside.
 func (s *Segmenter) StealGateForTest() bool {
 	if s.gate == nil {

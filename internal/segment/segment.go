@@ -148,9 +148,6 @@ func (s *Segmenter) SegmentContext(ctx context.Context, d *doc.Document) (*doc.N
 	// down explicitly, so untraced runs pay only nil checks.
 	sp := obs.SpanFrom(ctx)
 	st := statsFrom(ctx)
-	if st != nil {
-		st.Width = s.opts.Parallel
-	}
 	root := doc.NewTree(d)
 	if err := s.split(ctx, sp, d, root, 0, st); err != nil {
 		return nil, err

@@ -112,9 +112,9 @@ type Degradation struct {
 	// Phase is where the primary strategy was abandoned.
 	Phase Phase
 	// Fallback names the strategy used instead: "linear-segmentation",
-	// "sanitized-blocks", "sequential-recursion", "partial-search",
-	// "first-match", or — chosen by the fidelity ladder rather than forced
-	// by a failure — "triage-cheap" / "triage-skip".
+	// "sanitized-blocks", "partial-search", "first-match", or — chosen by
+	// the fidelity ladder rather than forced by a failure —
+	// "triage-cheap" / "triage-skip".
 	Fallback string
 	// Cause describes why, in one line.
 	Cause string
@@ -276,24 +276,14 @@ func (p *Pipeline) ExtractContext(ctx context.Context, d *Document) (*Result, er
 		}
 		if tree == nil {
 			// Phase 1: segmentation. Any failure degrades to the linear
-			// baseline. A stats sink rides the phase context so a
-			// parallel-capable segmenter can report whether the branch pool
-			// ever admitted a fork.
-			sctx, segStats := segment.WithStats(ctx)
-			tree, err = p.segmentPhase(sctx, run, d)
+			// baseline.
+			tree, err = p.segmentPhase(ctx, run, d)
 			if err != nil {
 				if ctx.Err() != nil {
 					return fail(PhaseSegment, "", err)
 				}
 				degrade(PhaseSegment, "linear-segmentation", err)
 				tree = p.linearTree(d)
-			} else if segStats.SequentialFallback() {
-				// The tree is still correct — sequential recursion is the designed
-				// pressure valve, and it produces identical output — but the run
-				// did not get the parallelism it was configured for, which callers
-				// watching latency SLOs need to see.
-				degrade(PhaseSegment, "sequential-recursion",
-					errors.New("branch pool exhausted; subtrees recursed inline"))
 			}
 			// Only a cleanly segmented tree may be memoized; the linear
 			// fallback is a degradation, not the template's layout.
@@ -401,7 +391,8 @@ func msSince(start time.Time) float64 {
 	return float64(time.Since(start)) / float64(time.Millisecond)
 }
 
-// segmentPhase runs the segmenter under its budget with panic recovery.
+// segmentPhase runs the segmenter under its budget with panic recovery
+// and publishes where its forks ran (see recordForks).
 func (p *Pipeline) segmentPhase(ctx context.Context, run *obs.Span, d *Document) (tree *Node, err error) {
 	defer recoverPhase(&err)
 	start := time.Now()
@@ -410,6 +401,8 @@ func (p *Pipeline) segmentPhase(ctx context.Context, run *obs.Span, d *Document)
 	defer cancel()
 	pctx, sp := phaseSpan(pctx, run, "segment")
 	defer sp.End()
+	pctx, forks := segment.WithStats(pctx)
+	defer recordForks(p.cfg.Metrics, sp, forks)
 	pprof.Do(pctx, pprof.Labels("vs2_phase", "segment"), func(c context.Context) {
 		tree, err = p.segmenter.SegmentContext(c, d)
 	})
@@ -420,6 +413,24 @@ func (p *Pipeline) segmentPhase(ctx context.Context, run *obs.Span, d *Document)
 		sp.SetAttr("error", err.Error())
 	}
 	return tree, err
+}
+
+// recordForks publishes where a parallel segmenter ran its subtree forks:
+// on the branch pool ("spawned") or, when the pool was full, inline on
+// the forking goroutine ("inline"). Both give the same tree, so the
+// reply does not record them; the segment span's branch_spawned /
+// branch_inline attributes and the segment.forks counter do, so a
+// starved pool still shows in traces and on /metrics. A segmenter that
+// never forks (a sequential one, or another backend) records nothing.
+func recordForks(m *obs.Registry, sp *obs.Span, st *segment.Stats) {
+	spawned, inline := st.Spawned.Load(), st.Inline.Load()
+	if spawned+inline == 0 {
+		return
+	}
+	sp.SetAttr("branch_spawned", spawned)
+	sp.SetAttr("branch_inline", inline)
+	m.Counter(obs.Name("segment.forks", obs.L("ran", "spawned"))).Add(spawned)
+	m.Counter(obs.Name("segment.forks", obs.L("ran", "inline"))).Add(inline)
 }
 
 // searchPhase runs the pattern search under its budget with panic

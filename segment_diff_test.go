@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"vs2/internal/obs"
 	"vs2/internal/segment"
 )
 
@@ -222,10 +223,11 @@ func TestDifferentialPipelineReports(t *testing.T) {
 }
 
 // TestSegmentStatsAndFallbackDegradation covers the pool-exhaustion
-// contract end to end: a segmenter whose gate is starved by a hostile
-// sibling run still produces the correct tree, reports the starvation
-// through segment.Stats, and the pipeline surfaces it as a
-// "sequential-recursion" degradation in Result.Degraded.
+// contract: a segmenter whose gate is starved by a hostile sibling run
+// still produces the sequential tree and reports the starvation through
+// segment.Stats; through the pipeline the reply records no degradation
+// for it, while the segment span and the segment.forks counter show
+// it; and a healthy wide run forks onto the pool.
 func TestSegmentStatsAndFallbackDegradation(t *testing.T) {
 	d := GenerateTaxForms(1, 9)[0].Doc
 
@@ -234,14 +236,11 @@ func TestSegmentStatsAndFallbackDegradation(t *testing.T) {
 	if !s.StealGateForTest() {
 		t.Fatal("could not occupy the gate")
 	}
-	ctx, st := segment.WithStats(t.Context())
+	ctx, st := segment.WithStats(context.Background())
 	tree, err := s.SegmentContext(ctx, d)
 	s.ReleaseGateForTest()
 	if err != nil {
 		t.Fatal(err)
-	}
-	if st.Width != 2 {
-		t.Fatalf("Stats.Width = %d, want 2", st.Width)
 	}
 	if got := st.Spawned.Load(); got != 0 {
 		t.Fatalf("Spawned = %d on a starved gate, want 0", got)
@@ -249,21 +248,52 @@ func TestSegmentStatsAndFallbackDegradation(t *testing.T) {
 	if got := st.Inline.Load(); got == 0 {
 		t.Fatal("Inline = 0: starved forks were not recorded")
 	}
-	if !st.SequentialFallback() {
-		t.Fatal("SequentialFallback() = false on a fully starved run")
-	}
 	want := segment.New(segment.Options{Parallel: 1}).Segment(d)
 	if tree.Dump(d) != want.Dump(d) {
 		t.Fatal("starved parallel run produced a different tree than sequential")
 	}
 
-	// A healthy wide run must NOT report the fallback.
-	ctx2, st2 := segment.WithStats(t.Context())
+	if !s.StealGateForTest() {
+		t.Fatal("could not occupy the gate")
+	}
+	m := NewMetrics()
+	tr := NewTrace("starved")
+	res, err := NewPipeline(Config{Task: NISTTaxTask(), Segmenter: s, Metrics: m}).
+		ExtractContext(WithTrace(context.Background(), tr), d)
+	s.ReleaseGateForTest()
+	tr.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Degraded) != 0 {
+		t.Fatalf("a starved pool degraded the reply: %v", res.Degraded)
+	}
+	if res.Tree.Dump(d) != want.Dump(d) {
+		t.Fatal("starved pipeline run produced a different tree than sequential")
+	}
+	snap := m.Snapshot()
+	if got := snap.Counters[obs.Name("segment.forks", obs.L("ran", "spawned"))]; got != 0 {
+		t.Fatalf(`segment.forks{ran="spawned"} = %d on a starved gate, want 0`, got)
+	}
+	if got := snap.Counters[obs.Name("segment.forks", obs.L("ran", "inline"))]; got == 0 {
+		t.Fatal(`segment.forks{ran="inline"} = 0 on a starved gate`)
+	}
+	run := findChild(tr.Snapshot(), "extract")
+	if run == nil {
+		t.Fatal("trace has no extract span")
+	}
+	seg := findChild(*run, "segment")
+	if seg == nil || seg.Attrs["branch_inline"] == nil || seg.Attrs["branch_spawned"] != int64(0) {
+		t.Fatalf("segment span lacks the fork attributes of a starved run: %+v", seg)
+	}
+
+	// A healthy wide run forks onto the pool.
+	ctx2, st2 := segment.WithStats(context.Background())
 	if _, err := segment.New(segment.Options{Parallel: 8}).SegmentContext(ctx2, d); err != nil {
 		t.Fatal(err)
 	}
-	if st2.SequentialFallback() {
-		t.Fatal("healthy run reported SequentialFallback")
+	if got := st2.Spawned.Load(); got == 0 {
+		t.Fatal("Spawned = 0 on a healthy wide run")
 	}
 	if st2.EmbedHits.Load() == 0 {
 		t.Fatal("centroid cache recorded no hits across merge passes")
