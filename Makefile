@@ -1,17 +1,22 @@
 GO ?= go
 
-.PHONY: check vet build test race obs serve-chaos crash-chaos shard-chaos reshard-chaos triage-chaos template-diff fuzz trace-demo bench-gate bench-baseline bench-selftest
+.PHONY: check fmt vet build test race obs serve-chaos crash-chaos shard-chaos reshard-chaos triage-chaos template-diff fuzz trace-demo bench-gate bench-baseline bench-selftest
 
-# check is the tier-1 verification gate: static analysis, a full build,
-# the full test suite, the race-detector pass (the chaos suite asserts
-# its no-panic/no-hang containment contract there), a focused
-# race-detector pass over the observability primitives, the
+# check is the tier-1 verification gate: formatting, static analysis, a
+# full build, the full test suite, the race-detector pass (the chaos
+# suite asserts its no-panic/no-hang containment contract there), a
+# focused race-detector pass over the observability primitives, the
 # serving-layer soak, the journal kill -9 crash-recovery harness, the
 # sharded-fleet shard-kill harness, the live-resharding rebalance
 # harness, the fidelity-ladder overload soak, the template-cache
 # differential-oracle suite, the benchmark regression gates, and the
 # end-to-end benchmark's own tests.
-check: vet build test race obs serve-chaos crash-chaos shard-chaos reshard-chaos triage-chaos template-diff bench-gate bench-selftest
+check: fmt vet build test race obs serve-chaos crash-chaos shard-chaos reshard-chaos triage-chaos template-diff bench-gate bench-selftest
+
+# fmt fails when gofmt would change any tracked Go file.
+fmt:
+	@out=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...

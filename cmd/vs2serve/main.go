@@ -11,11 +11,12 @@
 // Every document produces exactly one JSON line on stdout, emitted in
 // input order as results become available:
 //
-//	{"id":"poster-17","entities":[...],"degraded":["segment: ..."],"error":""}
+//	{"id":"poster-17","entities":[...],"degraded":["segment degraded to linear-segmentation: phase budget exceeded"]}
 //
-// Documents the server sheds or that fail every retry keep their line,
-// with the structured error in the "error" field; the exit code is then
-// non-zero. A summary (completed / degraded / replayed / failed / shed)
+// Each "degraded" note reads "<phase> degraded to <fallback>: <cause>";
+// the key is absent when nothing degraded. Documents the server sheds
+// or that fail every retry keep their line, with the structured error
+// in an "error" field; the exit code is then non-zero. A summary (completed / degraded / replayed / failed / shed)
 // lands on stderr, -metrics dumps the full telemetry snapshot, and
 // -trace writes one compact span tree per document as JSONL — the
 // stream format vs2trace validates.

@@ -103,7 +103,7 @@ func fuzzDoc(data []byte, seed int64) *Document {
 func FuzzParallelSegment(f *testing.F) {
 	f.Add([]byte{10, 10, 40, 32, 1, 10, 60, 40, 32, 1, 150, 10, 40, 32, 9}, int64(1))
 	f.Add([]byte{0, 0, 0, 0, 0, 255, 255, 255, 255, 255}, int64(7)) // zero-size + off-page
-	f.Add(func() []byte { // a banded layout likely to recurse several levels
+	f.Add(func() []byte {                                           // a banded layout likely to recurse several levels
 		var buf []byte
 		for row := 0; row < 8; row++ {
 			for col := 0; col < 3; col++ {
@@ -115,6 +115,7 @@ func FuzzParallelSegment(f *testing.F) {
 
 	seq := segment.New(segment.Options{Parallel: 1})
 	par := segment.New(segment.Options{Parallel: 8})
+	ref := segment.NewReference(segment.Options{})
 
 	f.Fuzz(func(t *testing.T, data []byte, seed int64) {
 		d := fuzzDoc(data, seed)
@@ -132,6 +133,13 @@ func FuzzParallelSegment(f *testing.F) {
 		}
 		if seqErr == nil && seqTree.Dump(d) != parTree.Dump(d) {
 			t.Fatalf("parallel tree diverges from sequential on fuzz input\nelements=%d seed=%d", len(d.Elements), seed)
+		}
+		refTree, refErr := ref.SegmentContext(ctx, d)
+		if (seqErr == nil) != (refErr == nil) {
+			t.Fatalf("error mismatch: sequential=%v reference=%v", seqErr, refErr)
+		}
+		if seqErr == nil && seqTree.Dump(d) != refTree.Dump(d) {
+			t.Fatalf("sequential tree diverges from the reference on fuzz input\nelements=%d seed=%d", len(d.Elements), seed)
 		}
 
 		// The parallel segmenter joins every forked goroutine before

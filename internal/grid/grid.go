@@ -1,23 +1,24 @@
-// Package grid implements the rasterised whitespace analysis underpinning
-// VS2-Segment (Section 5.1.1 of the paper). A document region is rendered
-// onto an occupancy grid; a cell not covered by any bounding box is a
-// "whitespace position". A valid horizontal movement steps one cell right
-// with a vertical drift of at most one cell (and symmetrically for vertical
+// Package grid is the paper-faithful raster of Section 5.1.1 that the
+// reference segmenter (segment.NewReference) and the straight-cut
+// ablation search. A document region is rendered onto an occupancy
+// grid; a cell not covered by any bounding box is a "whitespace
+// position". A valid horizontal movement steps one cell right with a
+// vertical drift of at most one cell (and symmetrically for vertical
 // movements); chaining W of them across a region of width W yields a
-// horizontal "cut". Because cuts may drift ±1 per hop, they are seams rather
-// than straight projection lines — this is exactly what lets VS2 separate
-// blocks that are not delimited by a rectangular whitespace channel, its
-// stated advantage over VIPS and XY-cut.
+// horizontal "cut". Because cuts may drift ±1 per hop, they are seams
+// rather than straight projection lines — this is exactly what lets VS2
+// separate blocks that are not delimited by a rectangular whitespace
+// channel, its stated advantage over VIPS and XY-cut.
 //
-// Maximal runs of consecutive cut rows (or columns) form separator bands;
-// Algorithm 1 of the paper then decides which bands are true visual
-// delimiters.
+// The default segmenter never builds a grid: it searches the same seams
+// over the stretches between element edges. Size and Cells are the one
+// rounding rule both sides use, so the raster and that search cannot
+// drift apart.
 package grid
 
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"vs2/internal/geom"
 )
@@ -45,14 +46,6 @@ type Grid struct {
 	W, H  int
 	Scale float64 // cells per page unit
 	occ   []bool
-
-	// Lazily-derived acceleration tables. Built at most once per
-	// mutation epoch (Set drops them); concurrent builders race
-	// benignly — the arrays are pure functions of occ, so whichever
-	// pointer wins the CAS is identical to the loser's.
-	vruns    atomic.Pointer[[]int32]
-	hruns    atomic.Pointer[[]int32]
-	integral atomic.Pointer[[]int32]
 }
 
 // New returns an empty (all-whitespace) grid of w×h cells.
@@ -73,51 +66,48 @@ func FromRects(bounds geom.Rect, rects []geom.Rect, scale float64) *Grid {
 	if scale <= 0 {
 		scale = 1
 	}
-	w := int(math.Ceil(bounds.W * scale))
-	h := int(math.Ceil(bounds.H * scale))
-	g := New(w, h)
+	g := New(Size(bounds, scale))
 	g.Scale = scale
 	for _, r := range rects {
-		g.mark(bounds, r, scale)
+		c := Cells(bounds, r, scale, g.W, g.H)
+		for y := c.Y0; y < c.Y1; y++ {
+			row := g.occ[y*g.W : (y+1)*g.W]
+			for x := c.X0; x < c.X1; x++ {
+				row[x] = true
+			}
+		}
 	}
 	return g
 }
 
-func (g *Grid) mark(bounds, r geom.Rect, scale float64) {
-	x0 := int(math.Floor((r.X - bounds.X) * scale))
-	y0 := int(math.Floor((r.Y - bounds.Y) * scale))
-	x1 := int(math.Ceil((r.MaxX() - bounds.X) * scale))
-	y1 := int(math.Ceil((r.MaxY() - bounds.Y) * scale))
-	if x0 < 0 {
-		x0 = 0
-	}
-	if y0 < 0 {
-		y0 = 0
-	}
-	if x1 > g.W {
-		x1 = g.W
-	}
-	if y1 > g.H {
-		y1 = g.H
-	}
-	for y := y0; y < y1; y++ {
-		row := g.occ[y*g.W : (y+1)*g.W]
-		for x := x0; x < x1; x++ {
-			row[x] = true
-		}
-	}
+// Size returns the raster dimensions of bounds at scale: every partly
+// covered cell counts.
+func Size(bounds geom.Rect, scale float64) (w, h int) {
+	return int(math.Ceil(bounds.W * scale)), int(math.Ceil(bounds.H * scale))
 }
 
-// Set marks the cell (x, y) occupied (no-op out of range) and drops
-// any derived tables so later queries see the new occupancy.
+// Cells returns the cells r covers on a w×h raster of bounds at scale,
+// clamped to the raster: every cell r partly covers. A box outside the
+// raster, or one with a zero extent on a cell boundary, covers none
+// (Empty reports true).
+func Cells(bounds, r geom.Rect, scale float64, w, h int) IntRect {
+	c := IntRect{
+		X0: int(math.Floor((r.X - bounds.X) * scale)),
+		Y0: int(math.Floor((r.Y - bounds.Y) * scale)),
+		X1: int(math.Ceil((r.MaxX() - bounds.X) * scale)),
+		Y1: int(math.Ceil((r.MaxY() - bounds.Y) * scale)),
+	}
+	c.X0, c.Y0 = max(c.X0, 0), max(c.Y0, 0)
+	c.X1, c.Y1 = min(c.X1, w), min(c.Y1, h)
+	return c
+}
+
+// Set marks the cell (x, y) occupied (no-op out of range).
 func (g *Grid) Set(x, y int) {
 	if x < 0 || y < 0 || x >= g.W || y >= g.H {
 		return
 	}
 	g.occ[y*g.W+x] = true
-	g.vruns.Store(nil)
-	g.hruns.Store(nil)
-	g.integral.Store(nil)
 }
 
 // Occupied reports whether the cell (x, y) is covered by some bounding box.
@@ -136,41 +126,6 @@ func (g *Grid) Whitespace(x, y int) bool { return !g.Occupied(x, y) }
 
 // Bounds returns the full-grid region.
 func (g *Grid) Bounds() IntRect { return IntRect{0, 0, g.W, g.H} }
-
-// ToCells converts a page-space rectangle to grid cells relative to the
-// page-space origin used at rasterisation time (assumed (0,0) here, as all
-// callers rasterise with bounds anchored at the area origin).
-func (g *Grid) ToCells(r geom.Rect) IntRect {
-	out := IntRect{
-		X0: int(math.Floor(r.X * g.Scale)),
-		Y0: int(math.Floor(r.Y * g.Scale)),
-		X1: int(math.Ceil(r.MaxX() * g.Scale)),
-		Y1: int(math.Ceil(r.MaxY() * g.Scale)),
-	}
-	if out.X0 < 0 {
-		out.X0 = 0
-	}
-	if out.Y0 < 0 {
-		out.Y0 = 0
-	}
-	if out.X1 > g.W {
-		out.X1 = g.W
-	}
-	if out.Y1 > g.H {
-		out.Y1 = g.H
-	}
-	return out
-}
-
-// ToPage converts a grid-cell region back to page units.
-func (g *Grid) ToPage(r IntRect) geom.Rect {
-	return geom.Rect{
-		X: float64(r.X0) / g.Scale,
-		Y: float64(r.Y0) / g.Scale,
-		W: float64(r.W()) / g.Scale,
-		H: float64(r.H()) / g.Scale,
-	}
-}
 
 // HorizontalCutRows returns, within region, every row y (absolute grid
 // coordinate) from which a horizontal cut originates: a chain of valid
@@ -248,292 +203,4 @@ func (g *Grid) VerticalCutCols(region IntRect) []int {
 		}
 	}
 	return cols
-}
-
-// ValidHorizontalMove reports whether a valid 1-hop horizontal movement
-// exists from the whitespace position (x, y): per Section 5.1.1, to
-// (x+1, y) when that is whitespace, or diagonally to (x+1, y±1) otherwise.
-func (g *Grid) ValidHorizontalMove(x, y int) bool {
-	if !g.Whitespace(x, y) {
-		return false
-	}
-	return g.Whitespace(x+1, y) || g.Whitespace(x+1, y-1) || g.Whitespace(x+1, y+1)
-}
-
-// ValidVerticalMove reports whether a valid 1-hop vertical movement exists
-// from (x, y).
-func (g *Grid) ValidVerticalMove(x, y int) bool {
-	if !g.Whitespace(x, y) {
-		return false
-	}
-	return g.Whitespace(x, y+1) || g.Whitespace(x-1, y+1) || g.Whitespace(x+1, y+1)
-}
-
-// Span is an inclusive run [Start, End] of consecutive cut rows or columns.
-// Its Width (cardinality of the set of consecutive valid cuts, in the
-// paper's terms) is End-Start+1.
-type Span struct {
-	Start, End int
-}
-
-// Width returns the number of consecutive cuts in the span.
-func (s Span) Width() int { return s.End - s.Start + 1 }
-
-// Bands groups a sorted list of cut coordinates into maximal runs of
-// consecutive values — the sets V_{s,i} of Fig. 5b.
-func Bands(coords []int) []Span {
-	var out []Span
-	for i := 0; i < len(coords); {
-		j := i
-		for j+1 < len(coords) && coords[j+1] == coords[j]+1 {
-			j++
-		}
-		out = append(out, Span{Start: coords[i], End: coords[j]})
-		i = j + 1
-	}
-	return out
-}
-
-// BottleneckWidth returns the effective width of a separator band: the
-// minimum, over the rows (for a horizontal band: columns) the seams must
-// traverse, of the number of whitespace cells reachable from the band's
-// origins under drift-±1 movement. The raw origin span of a band
-// overstates its width when open whitespace funnels into a narrow gap —
-// many origins, one bottleneck — and it is the bottleneck that determines
-// whether two areas are visually separated.
-func (g *Grid) BottleneckWidth(region IntRect, band Span, horizontal bool) int {
-	if horizontal {
-		// Band of cut rows; seams run left to right. Track reachable rows.
-		h := region.H()
-		reach := make([]bool, h)
-		next := make([]bool, h)
-		for y := band.Start; y <= band.End; y++ {
-			if y >= region.Y0 && y < region.Y1 {
-				reach[y-region.Y0] = g.Whitespace(region.X0, y)
-			}
-		}
-		bottleneck := count(reach)
-		for x := region.X0 + 1; x < region.X1; x++ {
-			for y := 0; y < h; y++ {
-				next[y] = false
-				if !g.Whitespace(x, region.Y0+y) {
-					continue
-				}
-				for dy := -1; dy <= 1; dy++ {
-					py := y + dy
-					if py >= 0 && py < h && reach[py] {
-						next[y] = true
-						break
-					}
-				}
-			}
-			reach, next = next, reach
-			if c := count(reach); c < bottleneck {
-				bottleneck = c
-			}
-			if bottleneck == 0 {
-				return 0
-			}
-		}
-		return bottleneck
-	}
-	// Band of cut columns; seams run top to bottom. Track reachable columns.
-	w := region.W()
-	reach := make([]bool, w)
-	next := make([]bool, w)
-	for x := band.Start; x <= band.End; x++ {
-		if x >= region.X0 && x < region.X1 {
-			reach[x-region.X0] = g.Whitespace(x, region.Y0)
-		}
-	}
-	bottleneck := count(reach)
-	for y := region.Y0 + 1; y < region.Y1; y++ {
-		for x := 0; x < w; x++ {
-			next[x] = false
-			if !g.Whitespace(region.X0+x, y) {
-				continue
-			}
-			for dx := -1; dx <= 1; dx++ {
-				px := x + dx
-				if px >= 0 && px < w && reach[px] {
-					next[x] = true
-					break
-				}
-			}
-		}
-		reach, next = next, reach
-		if c := count(reach); c < bottleneck {
-			bottleneck = c
-		}
-		if bottleneck == 0 {
-			return 0
-		}
-	}
-	return bottleneck
-}
-
-func count(bs []bool) int {
-	n := 0
-	for _, b := range bs {
-		if b {
-			n++
-		}
-	}
-	return n
-}
-
-// VRun returns the length of the maximal vertical whitespace run
-// through (x, y): the number of consecutive whitespace cells in column
-// x whose run contains row y. Occupied or out-of-range cells yield 0.
-// The per-column run table is built lazily in one O(W·H) sweep and
-// answers every subsequent query in O(1) — this replaces the O(H)
-// column scan the seam-clearance pass used to repeat per seam cell.
-func (g *Grid) VRun(x, y int) int {
-	if x < 0 || y < 0 || x >= g.W || y >= g.H {
-		return 0
-	}
-	return int((*g.loadVRuns())[y*g.W+x])
-}
-
-// HRun returns the length of the maximal horizontal whitespace run
-// through (x, y) (the transpose of VRun).
-func (g *Grid) HRun(x, y int) int {
-	if x < 0 || y < 0 || x >= g.W || y >= g.H {
-		return 0
-	}
-	return int((*g.loadHRuns())[y*g.W+x])
-}
-
-func (g *Grid) loadVRuns() *[]int32 {
-	if t := g.vruns.Load(); t != nil {
-		return t
-	}
-	t := g.buildRuns(true)
-	if g.vruns.CompareAndSwap(nil, t) {
-		return t
-	}
-	return g.vruns.Load()
-}
-
-func (g *Grid) loadHRuns() *[]int32 {
-	if t := g.hruns.Load(); t != nil {
-		return t
-	}
-	t := g.buildRuns(false)
-	if g.hruns.CompareAndSwap(nil, t) {
-		return t
-	}
-	return g.hruns.Load()
-}
-
-// buildRuns computes, for every cell, the length of the maximal
-// contiguous whitespace run containing it along one axis: a prefix
-// sweep measures each run, a suffix sweep stamps the total back onto
-// every cell of the run.
-func (g *Grid) buildRuns(vertical bool) *[]int32 {
-	runs := make([]int32, len(g.occ))
-	if vertical {
-		for x := 0; x < g.W; x++ {
-			for y0 := 0; y0 < g.H; {
-				if g.occ[y0*g.W+x] {
-					y0++
-					continue
-				}
-				y1 := y0
-				for y1 < g.H && !g.occ[y1*g.W+x] {
-					y1++
-				}
-				n := int32(y1 - y0)
-				for y := y0; y < y1; y++ {
-					runs[y*g.W+x] = n
-				}
-				y0 = y1
-			}
-		}
-	} else {
-		for y := 0; y < g.H; y++ {
-			row := g.occ[y*g.W : (y+1)*g.W]
-			out := runs[y*g.W : (y+1)*g.W]
-			for x0 := 0; x0 < g.W; {
-				if row[x0] {
-					x0++
-					continue
-				}
-				x1 := x0
-				for x1 < g.W && !row[x1] {
-					x1++
-				}
-				n := int32(x1 - x0)
-				for x := x0; x < x1; x++ {
-					out[x] = n
-				}
-				x0 = x1
-			}
-		}
-	}
-	return &runs
-}
-
-// loadIntegral returns the (W+1)×(H+1) summed-area table of occupancy,
-// building it lazily: integral[y][x] counts occupied cells in
-// [0,x)×[0,y).
-func (g *Grid) loadIntegral() *[]int32 {
-	if t := g.integral.Load(); t != nil {
-		return t
-	}
-	stride := g.W + 1
-	sums := make([]int32, stride*(g.H+1))
-	for y := 0; y < g.H; y++ {
-		var rowSum int32
-		for x := 0; x < g.W; x++ {
-			if g.occ[y*g.W+x] {
-				rowSum++
-			}
-			sums[(y+1)*stride+x+1] = sums[y*stride+x+1] + rowSum
-		}
-	}
-	if g.integral.CompareAndSwap(nil, &sums) {
-		return &sums
-	}
-	return g.integral.Load()
-}
-
-// OccupiedCount returns the number of occupied cells within region in
-// O(1) via the integral image. Out-of-range cells count as occupied,
-// matching Occupied.
-func (g *Grid) OccupiedCount(region IntRect) int {
-	if region.Empty() {
-		return 0
-	}
-	in := region
-	if in.X0 < 0 {
-		in.X0 = 0
-	}
-	if in.Y0 < 0 {
-		in.Y0 = 0
-	}
-	if in.X1 > g.W {
-		in.X1 = g.W
-	}
-	if in.Y1 > g.H {
-		in.Y1 = g.H
-	}
-	inside := 0
-	if !in.Empty() {
-		s := *g.loadIntegral()
-		stride := g.W + 1
-		inside = int(s[in.Y1*stride+in.X1] - s[in.Y0*stride+in.X1] -
-			s[in.Y1*stride+in.X0] + s[in.Y0*stride+in.X0])
-		return inside + region.W()*region.H() - in.W()*in.H()
-	}
-	return region.W() * region.H()
-}
-
-// Coverage returns the fraction of cells occupied within region.
-func (g *Grid) Coverage(region IntRect) float64 {
-	total := region.W() * region.H()
-	if total <= 0 {
-		return 0
-	}
-	return float64(g.OccupiedCount(region)) / float64(total)
 }

@@ -2,6 +2,7 @@ package grid
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -186,78 +187,70 @@ func TestSeamPassesGentleStaircase(t *testing.T) {
 	}
 }
 
+// TestValidMoves pins Section 5.1.1's 1-hop movement through the cut
+// sweep: on a grid two cells long, a cut from a whitespace cell exists
+// exactly when the next cell straight ahead or diagonally is whitespace.
 func TestValidMoves(t *testing.T) {
-	g := New(5, 5)
-	g.Set(1, 2)                       // block straight right from (0,2)
-	if !g.ValidHorizontalMove(0, 2) { // can drift to (1,1) or (1,3)
+	g := New(2, 5)
+	g.Set(1, 2)                                               // block straight right from (0,2)
+	if !slices.Contains(g.HorizontalCutRows(g.Bounds()), 2) { // can drift to (1,1) or (1,3)
 		t.Error("drift move should be valid")
 	}
 	g.Set(1, 1)
 	g.Set(1, 3)
-	if g.ValidHorizontalMove(0, 2) {
+	if slices.Contains(g.HorizontalCutRows(g.Bounds()), 2) {
 		t.Error("fully blocked move reported valid")
 	}
-	if g.ValidHorizontalMove(1, 2) {
+	g.Set(0, 0)
+	if slices.Contains(g.HorizontalCutRows(g.Bounds()), 0) {
 		t.Error("move from occupied cell must be invalid")
 	}
-	if !g.ValidVerticalMove(0, 0) {
+	open := New(5, 2)
+	if !slices.Contains(open.VerticalCutCols(open.Bounds()), 0) {
 		t.Error("vertical move in open space should be valid")
 	}
-	g2 := New(3, 3)
-	g2.Set(0, 1)
-	g2.Set(1, 1)
-	if g2.ValidVerticalMove(0, 0) {
+	walled := New(3, 2)
+	walled.Set(0, 1)
+	walled.Set(1, 1)
+	if slices.Contains(walled.VerticalCutCols(walled.Bounds()), 0) {
 		t.Error("vertical move blocked straight+diagonals should be invalid")
 	}
 }
 
-func TestBands(t *testing.T) {
-	bands := Bands([]int{2, 3, 4, 8, 11, 12})
-	want := []Span{{2, 4}, {8, 8}, {11, 12}}
-	if len(bands) != len(want) {
-		t.Fatalf("bands = %v", bands)
+// TestCellConversion pins the one rounding rule (Size and Cells) that
+// FromRects rasterises with and the segmenter's stretch search reads
+// element edges through: every partly covered cell counts, clamped to
+// the raster.
+func TestCellConversion(t *testing.T) {
+	bounds := geom.Rect{W: 100, H: 50}
+	w, h := Size(bounds, 2)
+	if w != 200 || h != 100 {
+		t.Fatalf("grid size %dx%d", w, h)
 	}
-	for i := range want {
-		if bands[i] != want[i] {
-			t.Errorf("band %d = %v, want %v", i, bands[i], want[i])
+	cases := []struct {
+		r    geom.Rect
+		want IntRect
+	}{
+		{geom.Rect{X: 10, Y: 5, W: 20, H: 10}, IntRect{20, 10, 60, 30}},
+		{geom.Rect{X: 10.2, Y: 5, W: 0.1, H: 10}, IntRect{20, 10, 21, 30}},     // partly covered cell
+		{geom.Rect{X: -10, Y: -10, W: 1000, H: 1000}, IntRect{0, 0, 200, 100}}, // clamped
+	}
+	for _, c := range cases {
+		if got := Cells(bounds, c.r, 2, w, h); got != c.want {
+			t.Errorf("Cells(%v) = %v, want %v", c.r, got, c.want)
 		}
 	}
-	if bands[0].Width() != 3 || bands[1].Width() != 1 {
-		t.Error("band widths wrong")
+	for _, r := range []geom.Rect{
+		{X: 10, Y: 5, W: 0, H: 10},   // zero width on a cell boundary
+		{X: 120, Y: 5, W: 10, H: 10}, // past the raster
+	} {
+		if got := Cells(bounds, r, 2, w, h); !got.Empty() {
+			t.Errorf("Cells(%v) = %v, want empty", r, got)
+		}
 	}
-	if got := Bands(nil); got != nil {
-		t.Errorf("empty bands = %v", got)
-	}
-}
-
-func TestCellConversion(t *testing.T) {
-	g := FromRects(geom.Rect{W: 100, H: 50}, nil, 2)
-	if g.W != 200 || g.H != 100 {
-		t.Fatalf("grid size %dx%d", g.W, g.H)
-	}
-	cells := g.ToCells(geom.Rect{X: 10, Y: 5, W: 20, H: 10})
-	if cells != (IntRect{20, 10, 60, 30}) {
-		t.Errorf("ToCells = %v", cells)
-	}
-	back := g.ToPage(cells)
-	if back != (geom.Rect{X: 10, Y: 5, W: 20, H: 10}) {
-		t.Errorf("ToPage = %v", back)
-	}
-	// Clamping.
-	big := g.ToCells(geom.Rect{X: -10, Y: -10, W: 1000, H: 1000})
-	if big != g.Bounds() {
-		t.Errorf("clamped = %v", big)
-	}
-}
-
-func TestCoverage(t *testing.T) {
-	g := twoColumnGrid()
-	cov := g.Coverage(g.Bounds())
-	if cov != 0.8 { // 16 of 20 columns fully occupied
-		t.Errorf("coverage = %v", cov)
-	}
-	if g.Coverage(IntRect{}) != 0 {
-		t.Error("empty region coverage should be 0")
+	g := FromRects(bounds, []geom.Rect{{X: 10.2, Y: 5, W: 0.1, H: 10}}, 2)
+	if g.W != w || g.H != h || !g.Occupied(20, 10) || g.Occupied(21, 10) || g.Occupied(20, 30) {
+		t.Error("FromRects does not mark exactly the cells Cells reports")
 	}
 }
 
@@ -330,72 +323,5 @@ func TestIntRectHelpers(t *testing.T) {
 	}
 	if (IntRect{}).String() == "" {
 		t.Error("String should be non-empty")
-	}
-}
-
-func TestBottleneckWidth(t *testing.T) {
-	// Open whitespace funnelling into a 5-cell gap: origins fan wide but
-	// the bottleneck is 5.
-	g := New(20, 12)
-	// Top block: rows 0..3, cols 0..9  (whitespace right of it: cols 10..19)
-	for y := 0; y < 4; y++ {
-		for x := 0; x < 10; x++ {
-			g.Set(x, y)
-		}
-	}
-	// Bottom blocks: rows 8..11 cols 0..4 and cols 10..19, leaving gap 5..9.
-	for y := 8; y < 12; y++ {
-		for x := 0; x < 5; x++ {
-			g.Set(x, y)
-		}
-		for x := 10; x < 20; x++ {
-			g.Set(x, y)
-		}
-	}
-	cols := g.VerticalCutCols(g.Bounds())
-	bands := Bands(cols)
-	if len(bands) == 0 {
-		t.Fatal("no vertical bands found")
-	}
-	// Find the band covering the funnel region.
-	var wide Span
-	for _, b := range bands {
-		if b.Width() > wide.Width() {
-			wide = b
-		}
-	}
-	if wide.Width() <= 5 {
-		t.Skipf("origin fan did not widen (band %v); bottleneck untestable", wide)
-	}
-	bn := g.BottleneckWidth(g.Bounds(), wide, false)
-	if bn != 5 {
-		t.Errorf("bottleneck = %d, want 5 (band %v)", bn, wide)
-	}
-}
-
-func TestBottleneckWidthHorizontal(t *testing.T) {
-	g := FromRects(geom.Rect{W: 10, H: 20}, []geom.Rect{
-		{X: 0, Y: 0, W: 10, H: 8},
-		{X: 0, Y: 12, W: 10, H: 8},
-	}, 1)
-	rows := g.HorizontalCutRows(g.Bounds())
-	bands := Bands(rows)
-	if len(bands) != 1 {
-		t.Fatalf("bands = %v", bands)
-	}
-	bn := g.BottleneckWidth(g.Bounds(), bands[0], true)
-	if bn != 4 {
-		t.Errorf("clean gutter bottleneck = %d, want 4", bn)
-	}
-}
-
-func TestBottleneckBlockedBandIsZero(t *testing.T) {
-	g := New(10, 10)
-	for x := 0; x < 10; x++ {
-		g.Set(x, 5) // a full wall
-	}
-	bn := g.BottleneckWidth(g.Bounds(), Span{Start: 0, End: 9}, false)
-	if bn != 0 {
-		t.Errorf("walled bottleneck = %d, want 0", bn)
 	}
 }

@@ -5,10 +5,10 @@ import (
 	"sync/atomic"
 )
 
-// Stats aggregates one segmentation run's parallelism and cache
-// telemetry. A caller that wants them attaches a sink with WithStats
-// before SegmentContext; the extraction pipeline publishes the fork
-// counts on its segment span and in the segment.forks counter.
+// Stats aggregates one segmentation run's fork counts. A caller that
+// wants them attaches a sink with WithStats before SegmentContext; the
+// extraction pipeline publishes them on its segment span and in the
+// segment.forks counter.
 type Stats struct {
 	// Spawned counts subtree recursions (and direction searches)
 	// forked onto the worker pool.
@@ -17,9 +17,6 @@ type Stats struct {
 	// the requesting goroutine. Inline work is the designed fallback,
 	// not an error — it is what guarantees progress under saturation.
 	Inline atomic.Int64
-	// EmbedHits / EmbedMisses count centroid-cache lookups during
-	// semantic merging.
-	EmbedHits, EmbedMisses atomic.Int64
 }
 
 func (st *Stats) addSpawned() {

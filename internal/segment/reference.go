@@ -8,14 +8,15 @@ import (
 )
 
 // This file preserves the seed implementation of the seam search,
-// exactly as first shipped: origins re-derived via the grid's cut-row
-// sweep, a freshly allocated two-dimensional reach table per call, a
-// freshly allocated path per origin, and O(H)/O(W) whitespace scans
-// per seam cell for clearance. It is deliberately redundant with the
-// optimised path in seam.go — NewReference wires it up as the
-// independent oracle the differential suite compares the fast path
-// against, and as the baseline the benchmark gate measures speedups
-// from. Do not optimise it; its value is being boring.
+// exactly as first shipped: the area rasterised (package grid), origins
+// re-derived via the grid's cut-row sweep, a freshly allocated
+// two-dimensional reach table per call, a freshly allocated path per
+// origin, and O(H)/O(W) whitespace scans per seam cell for clearance.
+// It is the paper's §5.1 definition read literally, and deliberately
+// redundant with the stretch search in seam.go — NewReference wires it
+// up as the independent oracle the differential suite compares the
+// fast path against, and as the baseline the benchmark gate measures
+// speedups from. Do not optimise it; its value is being boring.
 
 // refFindSeparators is the seed findSeparators.
 func refFindSeparators(g *grid.Grid, boxes []geom.Rect, horizontal bool) []separator {
@@ -41,7 +42,7 @@ func refFindSeparators(g *grid.Grid, boxes []geom.Rect, horizontal bool) []separ
 		if path == nil {
 			continue
 		}
-		above := classify(g, boxes, path, horizontal)
+		above := classify(g.Scale, boxes, path, horizontal)
 		nAbove := 0
 		for _, a := range above {
 			if a {
@@ -64,7 +65,7 @@ func refFindSeparators(g *grid.Grid, boxes []geom.Rect, horizontal bool) []separ
 					horizontal: horizontal,
 					above:      above,
 					width:      width,
-					nbH:        heightAtBottleneck(g, boxes, path, bottleneckAt, horizontal),
+					nbH:        heightAtBottleneck(g.Scale, boxes, bottleneckAt, path[bottleneckAt], horizontal),
 					minSide:    minSide,
 				},
 				width: width,

@@ -1,8 +1,8 @@
 package segment
 
 import (
+	"slices"
 	"sort"
-	"sync"
 
 	"vs2/internal/doc"
 	"vs2/internal/geom"
@@ -31,293 +31,384 @@ type separator struct {
 	minSide int
 }
 
-// Pooled scratch buffers for the per-node seam search. A segmentation
-// run builds one reach table and traces one path buffer per (node,
-// direction); pooling them removes the dominant per-recursion-level
-// allocations. Buffers are cleared/fully overwritten on reuse.
-var (
-	boolBufPool = sync.Pool{New: func() any { return new([]bool) }}
-	intBufPool  = sync.Pool{New: func() any { return new([]int) }}
-)
-
-func getBoolBuf(n int) *[]bool {
-	p := boolBufPool.Get().(*[]bool)
-	if cap(*p) < n {
-		*p = make([]bool, n)
-	} else {
-		*p = (*p)[:n]
-		clear(*p)
-	}
-	return p
-}
-
-func getIntBuf(n int) *[]int {
-	p := intBufPool.Get().(*[]int)
-	if cap(*p) < n {
-		*p = make([]int, n)
-	} else {
-		*p = (*p)[:n]
-	}
-	return p
-}
-
 // findSeparators enumerates the distinct separators of a direction within
-// the node's area. boxes are the node's element boxes translated to the
-// area-local frame used to build g.
+// a node's area. boxes are the node's element boxes translated to the
+// area-local frame, and scale is the raster resolution the seams are
+// defined on (grid.FromRects(area, boxes, scale)).
 //
-// This is the optimised hot path. The drift-±1 reachability recurrence
-// is swept once into a flat pooled table whose first layer doubles as
-// the origin list (the seed implementation swept the same recurrence
-// twice: once in grid.HorizontalCutRows for the origins and again for
-// its own reach table); seam clearances come from the grid's O(1)
-// whitespace run tables instead of an O(H) column scan per seam cell;
-// and every origin reuses one pooled path buffer. Value equivalence
-// with the seed implementation (reference.go) is enforced by the
-// differential suite and the fuzz target.
-func findSeparators(g *grid.Grid, boxes []geom.Rect, horizontal bool) []separator {
-	w, h := g.W, g.H
+// The search never builds that raster. A node's whitespace is fully set
+// by its element boxes, so their cell edges cut the seam axis into
+// stretches, each with one set of free lanes (profile). Within a
+// stretch the drift-±1 reach is its end reach widened by the distance
+// to the stretch's end and clipped to the free span holding it, a seam
+// follows a closed-form course (drift), and its clearance is that free
+// span's length, so each origin costs O(stretches + elements) instead
+// of O(W); an origin whose seam joins the previous one reuses the rest
+// of its course (seam.trace). The result equals the raster search of
+// reference.go exactly — separators, widths and neighbour heights —
+// which the differential suite, the node-level oracle test and the
+// fuzz target enforce.
+func findSeparators(area geom.Rect, boxes []geom.Rect, scale float64, horizontal bool) []separator {
+	w, h := grid.Size(area, scale)
 	if w <= 0 || h <= 0 {
 		return nil
 	}
-	reachBuf := getBoolBuf(w * h)
-	defer boolBufPool.Put(reachBuf)
-	reach := *reachBuf
-	buildReach(g, horizontal, reach)
-
-	span, lanes := w, h // seam length, origin-axis extent
+	sts := profile(area, boxes, scale, horizontal, w, h)
+	if sts == nil {
+		return nil
+	}
+	length := w
 	if !horizontal {
-		span, lanes = h, w
+		length = h
 	}
-	pathBuf := getIntBuf(span)
-	defer intBufPool.Put(pathBuf)
-	path := *pathBuf
-
-	type agg struct {
-		sep   separator
-		width float64
+	// Where each element's centroid meets the seam axis, and which
+	// stretch holds that position: fixed for every origin.
+	type probe struct {
+		at, k int
+		lane  float64
 	}
-	bySig := map[string]*agg{}
-	for o := 0; o < lanes; o++ {
-		if !reach[o] { // first layer: origins that reach the far edge
-			continue
-		}
-		if !traceInto(reach, w, h, o, horizontal, path) {
-			continue
-		}
-		above := classify(g, boxes, path, horizontal)
-		nAbove := 0
-		for _, a := range above {
-			if a {
-				nAbove++
+	probes := make([]probe, len(boxes))
+	for i, b := range boxes {
+		at, lane := centroidCell(b, scale, horizontal, length)
+		probes[i] = probe{at: at, k: stretchAt(sts, at), lane: lane}
+	}
+	sm := seam{legs: make([]leg, len(sts)), low: make([]int, len(sts))}
+	above := make([]bool, len(boxes))
+	var key []byte
+	bySig := map[string]*separator{}
+	for _, o := range sts[0].start {
+		for r := o.lo; r < o.hi; r++ {
+			if !sm.trace(sts, r) {
+				continue
 			}
-		}
-		if nAbove == 0 || nAbove == len(boxes) {
-			continue // margin seam: everything on one side
-		}
-		width, bottleneckAt := minClearance(g, path, horizontal)
-		width /= g.Scale
-		sig := sigOf(above)
-		if cur, ok := bySig[sig]; !ok || width > cur.width {
-			minSide := nAbove
-			if len(boxes)-nAbove < minSide {
-				minSide = len(boxes) - nAbove
+			nAbove := 0
+			for i, p := range probes {
+				above[i] = p.lane < float64(sm.legs[p.k].at(p.at))
+				if above[i] {
+					nAbove++
+				}
 			}
-			bySig[sig] = &agg{
-				sep: separator{
+			if nAbove == 0 || nAbove == len(boxes) {
+				continue // margin seam: everything on one side
+			}
+			bottleneck := sm.low[0]
+			width := float64(sm.legs[bottleneck].clearance) / scale
+			key = appendSig(key[:0], above)
+			cur, ok := bySig[string(key)]
+			if ok && width <= cur.width {
+				continue
+			}
+			if !ok {
+				cur = &separator{
 					horizontal: horizontal,
-					above:      above,
-					width:      width,
-					nbH:        heightAtBottleneck(g, boxes, path, bottleneckAt, horizontal),
-					minSide:    minSide,
-				},
-				width: width,
+					above:      append([]bool(nil), above...),
+					minSide:    min(nAbove, len(boxes)-nAbove),
+				}
+				bySig[string(key)] = cur
 			}
+			cur.width = width
+			cur.nbH = heightAtBottleneck(scale, boxes, sts[bottleneck].c0, sm.legs[bottleneck].r, horizontal)
 		}
 	}
-	out := make([]separator, 0, len(bySig))
 	keys := make([]string, 0, len(bySig))
 	for k := range bySig {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
+	out := make([]separator, 0, len(keys))
 	for _, k := range keys {
-		out = append(out, bySig[k].sep)
+		out = append(out, *bySig[k])
 	}
 	return out
 }
 
-// buildReach fills reach with the seam-reachability table: whether a
-// seam can continue from a cell to the far edge (right edge for
-// horizontal seams, bottom for vertical) under drift-±1 movement.
-// Layout is layer-major along the seam axis: horizontal seams index
-// reach[x*h+y], vertical seams reach[y*w+x], so layer 0 holds exactly
-// the cut origins grid.HorizontalCutRows / VerticalCutCols would
-// report. reach must be zeroed on entry.
-func buildReach(g *grid.Grid, horizontal bool, reach []bool) {
-	w, h := g.W, g.H
-	if horizontal {
-		last := reach[(w-1)*h : w*h]
-		for y := 0; y < h; y++ {
-			last[y] = g.Whitespace(w-1, y)
-		}
-		for x := w - 2; x >= 0; x-- {
-			cur := reach[x*h : (x+1)*h]
-			next := reach[(x+1)*h : (x+2)*h]
-			for y := 0; y < h; y++ {
-				if !g.Whitespace(x, y) {
-					continue
-				}
-				if next[y] || (y > 0 && next[y-1]) || (y+1 < h && next[y+1]) {
-					cur[y] = true
-				}
-			}
-		}
-		return
-	}
-	last := reach[(h-1)*w : h*w]
-	for x := 0; x < w; x++ {
-		last[x] = g.Whitespace(x, h-1)
-	}
-	for y := h - 2; y >= 0; y-- {
-		cur := reach[y*w : (y+1)*w]
-		next := reach[(y+1)*w : (y+2)*w]
-		for x := 0; x < w; x++ {
-			if !g.Whitespace(x, y) {
-				continue
-			}
-			if next[x] || (x > 0 && next[x-1]) || (x+1 < w && next[x+1]) {
-				cur[x] = true
-			}
-		}
-	}
+// span is a half-open interval [lo, hi) of lanes: rows for horizontal
+// seams, columns for vertical ones.
+type span struct{ lo, hi int }
+
+// A stretch is a run [c0, c1) of seam positions (columns for
+// horizontal seams, rows for vertical ones) that no element edge cuts,
+// so every position in it has the same free lanes.
+type stretch struct {
+	c0, c1 int
+	free   []span // whitespace lanes: sorted, maximal
+	end    []span // lanes at c1-1 from which a seam reaches the far edge
+	start  []span // the same at c0
 }
 
-// traceInto walks one seam from the origin into path, preferring to
-// stay level and otherwise drifting ±1, exactly like the seed
-// refTracePath but without per-origin allocations. Reports whether a
-// complete seam exists (it always does when the origin is reachable).
-func traceInto(reach []bool, w, h, origin int, horizontal bool, path []int) bool {
-	if horizontal {
-		if origin < 0 || origin >= h || !reach[origin] {
-			return false
+// profile cuts the seam axis of the w×h raster of area into stretches
+// at every element's cell edges, rounded by the raster's own rule
+// (grid.Cells), and sweeps the seam reach across them from the far
+// edge. It returns nil when no seam crosses the area.
+func profile(area geom.Rect, boxes []geom.Rect, scale float64, horizontal bool, w, h int) []stretch {
+	length, lanes := w, h
+	if !horizontal {
+		length, lanes = h, w
+	}
+	// Element cells with X along the seam axis and Y across it.
+	cells := make([]grid.IntRect, 0, len(boxes))
+	cuts := make([]int, 0, 2*len(boxes)+2)
+	cuts = append(cuts, 0, length)
+	for _, b := range boxes {
+		c := grid.Cells(area, b, scale, w, h)
+		if c.Empty() {
+			continue
 		}
-		r := origin
-		path[0] = r
-		for x := 1; x < w; x++ {
-			layer := reach[x*h : (x+1)*h]
-			switch {
-			case layer[r]:
-			case r > 0 && layer[r-1]:
-				r--
-			case r+1 < h && layer[r+1]:
-				r++
-			default:
-				return false
+		if !horizontal {
+			c = grid.IntRect{X0: c.Y0, Y0: c.X0, X1: c.Y1, Y1: c.X1}
+		}
+		cells = append(cells, c)
+		cuts = append(cuts, c.X0, c.X1)
+	}
+	sort.Ints(cuts)
+	cuts = slices.Compact(cuts)
+	slices.SortFunc(cells, func(a, b grid.IntRect) int { return a.Y0 - b.Y0 })
+
+	// All span lists share one backing array; each list is capped so a
+	// later append never writes into it.
+	var buf []span
+	sts := make([]stretch, len(cuts)-1)
+	for k := range sts {
+		c0, c1 := cuts[k], cuts[k+1]
+		from, next := len(buf), 0
+		for _, c := range cells {
+			if c.X0 > c0 || c.X1 < c1 {
+				continue // the cut points make cover all-or-nothing
 			}
-			path[x] = r
+			if c.Y0 > next {
+				buf = append(buf, span{next, c.Y0})
+			}
+			next = max(next, c.Y1)
 		}
-		return true
+		if next < lanes {
+			buf = append(buf, span{next, lanes})
+		}
+		sts[k] = stretch{c0: c0, c1: c1, free: buf[from:len(buf):len(buf)]}
 	}
-	if origin < 0 || origin >= w || !reach[origin] {
-		return false
+	for k := len(sts) - 1; k >= 0; k-- {
+		st := &sts[k]
+		if k == len(sts)-1 {
+			st.end = st.free
+		} else {
+			from := len(buf)
+			buf = appendStep(buf, st.free, sts[k+1].start)
+			st.end = buf[from:len(buf):len(buf)]
+		}
+		if len(st.end) == 0 {
+			return nil
+		}
+		from := len(buf)
+		buf = appendWiden(buf, st.end, st.free, st.c1-1-st.c0)
+		st.start = buf[from:len(buf):len(buf)]
 	}
-	c := origin
-	path[0] = c
-	for y := 1; y < h; y++ {
-		layer := reach[y*w : (y+1)*w]
+	return sts
+}
+
+// appendStep appends the lanes of free from which one drift-±1 step
+// lands in next: free ∩ (next dilated by one lane).
+func appendStep(out, free, next []span) []span {
+	base, i := len(out), 0
+	for _, f := range free {
+		for i < len(next) && next[i].hi+1 <= f.lo {
+			i++
+		}
+		for j := i; j < len(next) && next[j].lo-1 < f.hi; j++ {
+			lo, hi := max(f.lo, next[j].lo-1), min(f.hi, next[j].hi+1)
+			if n := len(out); n > base && out[n-1].hi >= lo {
+				out[n-1].hi = max(out[n-1].hi, hi)
+			} else {
+				out = append(out, span{lo, hi})
+			}
+		}
+	}
+	return out
+}
+
+// appendWiden appends the reach d positions before a stretch's end:
+// each end span widened by d lanes each way and clipped to the free
+// span holding it. A free span is convex, so d single-lane dilations
+// clipped one at a time give the same lanes.
+func appendWiden(out, end, free []span, d int) []span {
+	base, i := len(out), 0
+	for _, e := range end {
+		for free[i].hi <= e.lo {
+			i++
+		}
+		lo, hi := max(free[i].lo, e.lo-d), min(free[i].hi, e.hi+d)
+		if n := len(out); n > base && out[n-1].hi >= lo {
+			out[n-1].hi = max(out[n-1].hi, hi)
+		} else {
+			out = append(out, span{lo, hi})
+		}
+	}
+	return out
+}
+
+// A leg is a seam's course through one stretch: it holds lane r up to
+// position turn, then drifts one lane per position in direction dir.
+// clearance is the length of the free span it runs in, in cells.
+type leg struct{ r, turn, dir, clearance int }
+
+// at returns the leg's lane at seam position c.
+func (l leg) at(c int) int {
+	if c <= l.turn {
+		return l.r
+	}
+	return l.r + l.dir*(c-l.turn)
+}
+
+// A seam is the course of the last origin traced, one leg per stretch.
+// The seam's clearance is its shortest leg's, and its bottleneck the
+// first stretch with that strict minimum; low[k] is that stretch among
+// stretches k and on.
+type seam struct {
+	legs []leg
+	low  []int
+	ok   bool // legs hold a complete course
+}
+
+// trace follows the seam from origin lane r across every stretch.
+// Between stretches it steps level, then up, then down, like the raster
+// trace. A seam's course from a stretch on depends only on the lane it
+// enters that stretch at, so trace keeps the previous origin's legs
+// from the first stretch the new seam enters on the same lane; origins
+// come in lane order and seams never cross, so neighbouring seams that
+// meet stay together. It reports false only if r is not a reachable
+// origin.
+func (sm *seam) trace(sts []stretch, r int) bool {
+	k := 0
+	for ; k < len(sts); k++ {
+		st := &sts[k]
 		switch {
-		case layer[c]:
-		case c > 0 && layer[c-1]:
-			c--
-		case c+1 < w && layer[c+1]:
-			c++
+		case contains(st.start, r):
+		case contains(st.start, r-1):
+			r--
+		case contains(st.start, r+1):
+			r++
 		default:
+			sm.ok = false
 			return false
 		}
-		path[y] = c
+		if sm.ok && sm.legs[k].r == r {
+			break
+		}
+		free := st.free[find(st.free, r)]
+		d, dir := drift(st.end, free, r)
+		if d < 0 {
+			sm.ok = false
+			return false
+		}
+		sm.legs[k] = leg{r: r, turn: st.c1 - 1 - d, dir: dir, clearance: free.hi - free.lo}
+		r += dir * d
 	}
+	for j := k - 1; j >= 0; j-- {
+		sm.low[j] = j
+		if j+1 < len(sts) && sm.legs[sm.low[j+1]].clearance < sm.legs[j].clearance {
+			sm.low[j] = sm.low[j+1]
+		}
+	}
+	sm.ok = true
 	return true
 }
 
-// classify assigns each element to the side of the seam its centroid lies
-// on: true = before (above / left of) the seam. An empty path (a
-// degenerate zero-extent grid) classifies nothing: all elements land on
-// one side and the caller discards the seam.
-func classify(g *grid.Grid, boxes []geom.Rect, path []int, horizontal bool) []bool {
+// drift returns how far, and which way, a seam entering a stretch at
+// lane r (inside free) must move to finish in the stretch's end reach.
+// Reach shrinks toward the end by one lane per position, so the seam
+// keeps its lane while the lane stays reachable, then follows the
+// nearest shrinking reach edge to the end, one lane per position. The
+// raster trace prefers level, then −1, then +1, so a tie goes up. A
+// negative distance means r reaches nothing.
+func drift(end []span, free span, r int) (d, dir int) {
+	j := find(end, r)
+	if j >= 0 && r < end[j].hi {
+		return 0, 0
+	}
+	up, down := -1, -1
+	if j >= 0 && end[j].lo >= free.lo {
+		up = r - (end[j].hi - 1)
+	}
+	if j+1 < len(end) && end[j+1].lo < free.hi {
+		down = end[j+1].lo - r
+	}
+	if up >= 0 && (down < 0 || up <= down) {
+		return up, -1
+	}
+	return down, 1
+}
+
+// find returns the index of the last span starting at or before lane
+// r, or -1.
+func find(spans []span, r int) int {
+	lo, hi := 0, len(spans)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if spans[m].lo <= r {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo - 1
+}
+
+func contains(spans []span, r int) bool {
+	j := find(spans, r)
+	return j >= 0 && r < spans[j].hi
+}
+
+// stretchAt returns the index of the stretch holding seam position c.
+func stretchAt(sts []stretch, c int) int {
+	return sort.Search(len(sts), func(k int) bool { return sts[k].c1 > c })
+}
+
+// classify assigns each element to the side of a raster seam path its
+// centroid lies on: true = before (above / left of) the seam. An empty
+// path (a degenerate zero-extent grid) classifies nothing: all elements
+// land on one side and the caller discards the seam.
+func classify(scale float64, boxes []geom.Rect, path []int, horizontal bool) []bool {
 	out := make([]bool, len(boxes))
 	if len(path) == 0 {
 		return out
 	}
 	for i, b := range boxes {
-		c := b.Centroid()
-		if horizontal {
-			x := int(c.X * g.Scale)
-			if x < 0 {
-				x = 0
-			}
-			if x >= len(path) {
-				x = len(path) - 1
-			}
-			out[i] = c.Y*g.Scale < float64(path[x])
-		} else {
-			y := int(c.Y * g.Scale)
-			if y < 0 {
-				y = 0
-			}
-			if y >= len(path) {
-				y = len(path) - 1
-			}
-			out[i] = c.X*g.Scale < float64(path[y])
-		}
+		at, lane := centroidCell(b, scale, horizontal, len(path))
+		out[i] = lane < float64(path[at])
 	}
 	return out
 }
 
-// minClearance returns the smallest whitespace run (in cells) crossed by
-// the seam — the true local width of the separator — and the path index
-// the bottleneck occurs at. Runs come from the grid's memoised run
-// tables: O(1) per cell instead of the seed's O(H) scan.
-func minClearance(g *grid.Grid, path []int, horizontal bool) (float64, int) {
-	best, at := -1, 0
-	for i, p := range path {
-		var run int
-		if horizontal {
-			run = g.VRun(i, p)
-		} else {
-			run = g.HRun(p, i)
-		}
-		if best < 0 || run < best {
-			best, at = run, i
-		}
-		if best == 0 {
-			break
-		}
+// centroidCell returns the seam position of b's centroid, clamped to a
+// seam of length n, and the centroid's lane coordinate in cells: the
+// seam at that position decides b's side.
+func centroidCell(b geom.Rect, scale float64, horizontal bool, n int) (int, float64) {
+	c := b.Centroid()
+	along, across := c.X, c.Y
+	if !horizontal {
+		along, across = c.Y, c.X
 	}
-	if best < 0 {
-		return 0, 0
+	at := int(along * scale)
+	if at < 0 {
+		at = 0
 	}
-	return float64(best), at
+	if at >= n {
+		at = n - 1
+	}
+	return at, across * scale
 }
 
-// heightAtBottleneck returns the height of the element box nearest to the
-// seam's bottleneck cell. Algorithm 1 normalises a separator's width by
-// the "neighboring bounding box": the box adjacent to the narrow part of
-// the gap, whose font height the gap must be compared against. Measuring
-// against the globally nearest element instead would let a headline's
-// word gap be normalised by distant small body text, promoting it to a
-// delimiter.
-func heightAtBottleneck(g *grid.Grid, boxes []geom.Rect, path []int, at int, horizontal bool) float64 {
-	if len(path) == 0 {
-		return 0
+// heightAtBottleneck returns the height of the element box nearest to
+// the seam's bottleneck cell, at seam position at and lane lane.
+// Algorithm 1 normalises a separator's width by the "neighboring
+// bounding box": the box adjacent to the narrow part of the gap, whose
+// font height the gap must be compared against. Measuring against the
+// globally nearest element instead would let a headline's word gap be
+// normalised by distant small body text, promoting it to a delimiter.
+func heightAtBottleneck(scale float64, boxes []geom.Rect, at, lane int, horizontal bool) float64 {
+	px, py := float64(at)/scale, float64(lane)/scale
+	if !horizontal {
+		px, py = py, px
 	}
-	at = clampIdx(at, len(path))
-	var px, py float64
-	if horizontal {
-		px, py = float64(at)/g.Scale, float64(path[at])/g.Scale
-	} else {
-		px, py = float64(path[at])/g.Scale, float64(at)/g.Scale
-	}
-	cell := geom.Rect{X: px, Y: py, W: 1 / g.Scale, H: 1 / g.Scale}
+	cell := geom.Rect{X: px, Y: py, W: 1 / scale, H: 1 / scale}
 	bestH, bestD := 0.0, -1.0
 	for _, b := range boxes {
 		d := cell.Gap(b)
@@ -328,32 +419,21 @@ func heightAtBottleneck(g *grid.Grid, boxes []geom.Rect, path []int, at int, hor
 	return bestH
 }
 
-func clampIdx(i, n int) int {
-	if i < 0 {
-		return 0
-	}
-	if i >= n {
-		return n - 1
-	}
-	return i
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
-func sigOf(above []bool) string {
-	b := make([]byte, (len(above)+7)/8)
+// appendSig appends the bitset of above to b: the key that groups seams
+// by the element partition they induce.
+func appendSig(b []byte, above []bool) []byte {
 	for i, a := range above {
+		if i%8 == 0 {
+			b = append(b, 0)
+		}
 		if a {
-			b[i/8] |= 1 << (i % 8)
+			b[len(b)-1] |= 1 << (i % 8)
 		}
 	}
-	return string(b)
+	return b
 }
+
+func sigOf(above []bool) string { return string(appendSig(nil, above)) }
 
 // partitionBySeparators splits the node's elements into groups defined by
 // the combination of chosen separators: elements sharing the same side of

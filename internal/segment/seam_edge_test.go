@@ -11,11 +11,11 @@ import (
 )
 
 // Regression suite for the seam-search edge cases: degenerate 1×N and
-// N×1 grids, zero-extent grids, empty pages and zero-size elements.
+// N×1 areas, zero-extent areas, empty pages and zero-size elements.
 // The seed implementation indexed a constant-cut path through classify
 // with an unclamped -1 when the path was empty (a zero-width grid under
-// StraightCutsOnly); these tests pin the guards and verify the
-// optimised and reference seam searches agree on every degenerate shape.
+// StraightCutsOnly); these tests pin the guards and verify the stretch
+// search and the raster oracle agree on every degenerate shape.
 
 // sepsEqual compares two separator lists field by field.
 func sepsEqual(a, b []separator) bool {
@@ -40,9 +40,8 @@ func sepsEqual(a, b []separator) bool {
 }
 
 func TestClassifyEmptyPath(t *testing.T) {
-	g := grid.New(0, 5)
 	boxes := []geom.Rect{{X: 1, Y: 1, W: 2, H: 2}, {X: 1, Y: 4, W: 2, H: 2}}
-	above := classify(g, boxes, nil, true)
+	above := classify(1, boxes, nil, true)
 	if len(above) != len(boxes) {
 		t.Fatalf("classify returned %d sides for %d boxes", len(above), len(boxes))
 	}
@@ -57,9 +56,10 @@ func TestSeparatorSearchOnDegenerateGrids(t *testing.T) {
 	boxes := []geom.Rect{{X: 0, Y: 0, W: 1, H: 1}, {X: 0, Y: 3, W: 1, H: 1}}
 	shapes := []struct{ w, h int }{{0, 0}, {0, 5}, {5, 0}, {1, 1}}
 	for _, sh := range shapes {
-		g := grid.New(sh.w, sh.h)
+		area := geom.Rect{W: float64(sh.w), H: float64(sh.h)}
+		g := grid.FromRects(area, boxes, 1)
 		for _, horizontal := range []bool{true, false} {
-			if got := findSeparators(g, boxes, horizontal); len(got) != 0 {
+			if got := checkedSeparators(t, area, boxes, 1, horizontal); len(got) != 0 {
 				t.Errorf("findSeparators on %dx%d (horizontal=%v) = %d seps, want none", sh.w, sh.h, horizontal, len(got))
 			}
 			if got := findStraightSeparators(g, boxes, horizontal); len(got) != 0 {
@@ -70,40 +70,32 @@ func TestSeparatorSearchOnDegenerateGrids(t *testing.T) {
 }
 
 // TestSeamsOnThinGrids drives both implementations over 1×N and N×1
-// grids — seams of length one and lanes of width one, where every drift
-// move is at the grid edge — and requires identical separators.
+// areas — seams of length one and lanes of width one, where every drift
+// move is at the area edge — and requires identical separators.
 func TestSeamsOnThinGrids(t *testing.T) {
 	// N×1: a single row; vertical seams have length 1, horizontal seams
 	// have one lane.
-	wide := grid.New(9, 1)
-	wide.Set(2, 0)
-	wide.Set(6, 0)
+	wide := geom.Rect{W: 9, H: 1}
 	wideBoxes := []geom.Rect{{X: 2, Y: 0, W: 1, H: 1}, {X: 6, Y: 0, W: 1, H: 1}}
 
 	// 1×N: a single column.
-	tall := grid.New(1, 9)
-	tall.Set(0, 2)
-	tall.Set(0, 6)
+	tall := geom.Rect{W: 1, H: 9}
 	tallBoxes := []geom.Rect{{X: 0, Y: 2, W: 1, H: 1}, {X: 0, Y: 6, W: 1, H: 1}}
 
 	cases := []struct {
 		name  string
-		g     *grid.Grid
+		area  geom.Rect
 		boxes []geom.Rect
 	}{{"9x1", wide, wideBoxes}, {"1x9", tall, tallBoxes}}
 	for _, c := range cases {
 		for _, horizontal := range []bool{true, false} {
-			got := findSeparators(c.g, c.boxes, horizontal)
-			want := refFindSeparators(c.g, c.boxes, horizontal)
-			if !sepsEqual(got, want) {
-				t.Errorf("%s horizontal=%v: optimised %+v != reference %+v", c.name, horizontal, got, want)
-			}
+			checkedSeparators(t, c.area, c.boxes, 1, horizontal)
 		}
 	}
-	// Sanity: the single-column grid must still find the horizontal gap
+	// Sanity: the single-column area must still find the horizontal gap
 	// between the two occupied cells.
-	if seps := findSeparators(tall, tallBoxes, true); len(seps) == 0 {
-		t.Error("1x9 grid: no horizontal separator found across the middle gap")
+	if seps := findSeparators(tall, tallBoxes, 1, true); len(seps) == 0 {
+		t.Error("1x9 area: no horizontal separator found across the middle gap")
 	}
 }
 

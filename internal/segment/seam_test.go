@@ -1,12 +1,28 @@
 package segment
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 
 	"vs2/internal/doc"
 	"vs2/internal/geom"
 	"vs2/internal/grid"
 )
+
+// checkedSeparators runs the stretch search and the raster oracle
+// (refFindSeparators over grid.FromRects of the same boxes) and fails
+// the test unless they return the same separators.
+func checkedSeparators(t *testing.T, area geom.Rect, boxes []geom.Rect, scale float64, horizontal bool) []separator {
+	t.Helper()
+	got := findSeparators(area, boxes, scale, horizontal)
+	want := refFindSeparators(grid.FromRects(area, boxes, scale), boxes, horizontal)
+	if !sepsEqual(got, want) {
+		t.Fatalf("area %v scale %v horizontal=%v boxes %v:\nstretch search %+v\nraster oracle  %+v",
+			area, scale, horizontal, boxes, got, want)
+	}
+	return got
+}
 
 func TestFindSeparatorsTwoBands(t *testing.T) {
 	// Two stacked boxes with a clean gutter: exactly one horizontal
@@ -15,8 +31,7 @@ func TestFindSeparatorsTwoBands(t *testing.T) {
 		{X: 0, Y: 0, W: 40, H: 10},
 		{X: 0, Y: 25, W: 40, H: 10},
 	}
-	g := grid.FromRects(geom.Rect{W: 40, H: 35}, boxes, 1)
-	seps := findSeparators(g, boxes, true)
+	seps := checkedSeparators(t, geom.Rect{W: 40, H: 35}, boxes, 1, true)
 	if len(seps) != 1 {
 		t.Fatalf("separators = %d", len(seps))
 	}
@@ -39,12 +54,56 @@ func TestFindSeparatorsMarginSeamsExcluded(t *testing.T) {
 	// A single box: every seam puts all elements on one side, so no
 	// separator may be reported.
 	boxes := []geom.Rect{{X: 10, Y: 10, W: 20, H: 10}}
-	g := grid.FromRects(geom.Rect{W: 60, H: 40}, boxes, 1)
-	if seps := findSeparators(g, boxes, true); len(seps) != 0 {
+	area := geom.Rect{W: 60, H: 40}
+	if seps := checkedSeparators(t, area, boxes, 1, true); len(seps) != 0 {
 		t.Errorf("margin seams reported: %d", len(seps))
 	}
-	if seps := findSeparators(g, boxes, false); len(seps) != 0 {
+	if seps := checkedSeparators(t, area, boxes, 1, false); len(seps) != 0 {
 		t.Errorf("vertical margin seams reported: %d", len(seps))
+	}
+}
+
+// TestFindSeparatorsMatchesRaster is the node-level oracle: seeded
+// random box sets — boxes spilling past the area, zero width or height,
+// integral and fractional coordinates — searched at several raster
+// scales in both directions must give exactly the raster's separators.
+func TestFindSeparatorsMatchesRaster(t *testing.T) {
+	sets := 1200
+	if testing.Short() {
+		sets = 150
+	}
+	scales := []float64{0.37, 0.5, 1, 1.3, 2}
+	rng := rand.New(rand.NewSource(23))
+	coord := func(lo, hi float64, integral bool) float64 {
+		v := lo + rng.Float64()*(hi-lo)
+		if integral {
+			return math.Round(v)
+		}
+		return v
+	}
+	for set := 0; set < sets; set++ {
+		integral := set%2 == 0
+		area := geom.Rect{W: coord(1, 90, integral), H: coord(1, 90, integral)}
+		boxes := make([]geom.Rect, rng.Intn(12))
+		for i := range boxes {
+			b := geom.Rect{
+				X: coord(-8, area.W+4, integral),
+				Y: coord(-8, area.H+4, integral),
+				W: coord(0, area.W/3, integral),
+				H: coord(0, area.H/4, integral),
+			}
+			switch rng.Intn(8) {
+			case 0:
+				b.W = 0
+			case 1:
+				b.H = 0
+			}
+			boxes[i] = b
+		}
+		for _, scale := range scales {
+			checkedSeparators(t, area, boxes, scale, true)
+			checkedSeparators(t, area, boxes, scale, false)
+		}
 	}
 }
 

@@ -6,10 +6,14 @@
 //
 // Each iteration of the recursion, applied to one visual area:
 //
-//  1. Explicit visual delimiters: the area is rasterised (package grid) and
-//     scanned for maximal bands of consecutive valid horizontal/vertical
-//     cuts; Algorithm 1 (algorithm1.go) decides which bands are true
-//     delimiters. The area splits along them.
+//  1. Explicit visual delimiters: the area's whitespace seams — chains
+//     of valid horizontal/vertical cuts on the §5.1.1 raster — are
+//     grouped into separators by the element partition they induce;
+//     Algorithm 1 (algorithm1.go) decides which are true delimiters. The
+//     area splits along them. The search (seam.go) works on the
+//     stretches between element edges instead of a per-node raster;
+//     the raster itself (package grid) is the reference oracle's
+//     (NewReference, reference.go).
 //  2. Implicit visual modifiers: when no delimiter exists, the atomic
 //     elements are clustered on the low-level visual features of Table 1
 //     (cluster.go) — proximity, alignment, colour, font size and angular
@@ -121,8 +125,8 @@ func New(opts Options) *Segmenter {
 }
 
 // NewReference returns a Segmenter running the seed implementation:
-// strictly sequential recursion with per-call reach tables, per-cell
-// clearance scans and no embedding cache. It is the oracle the
+// strictly sequential recursion over a per-node raster, per-call reach
+// tables, per-cell clearance scans and no embedding cache. It is the oracle the
 // differential suite checks the optimised path against, and the
 // baseline the benchmark gate measures speedups from.
 func NewReference(opts Options) *Segmenter {
@@ -159,16 +163,10 @@ func (s *Segmenter) SegmentContext(ctx context.Context, d *doc.Document) (*doc.N
 			cache = embed.NewCentroids(s.opts.Embedder)
 		}
 		err := mergeTree(ctx, msp, d, root, s.opts.Embedder, cache)
-		if cache != nil {
+		if cache != nil && msp != nil {
 			hits, misses := cache.Stats()
-			if st != nil {
-				st.EmbedHits.Add(hits)
-				st.EmbedMisses.Add(misses)
-			}
-			if msp != nil {
-				msp.SetAttr("embed_cache_hits", hits)
-				msp.SetAttr("embed_cache_misses", misses)
-			}
+			msp.SetAttr("embed_cache_hits", hits)
+			msp.SetAttr("embed_cache_misses", misses)
 		}
 		msp.End()
 		if err != nil {
@@ -286,10 +284,11 @@ func (s *Segmenter) splitChildren(ctx context.Context, sp *obs.Span, d *doc.Docu
 // keeps the true delimiters, and elements sharing a side of every kept
 // delimiter form one group. Returns nil when nothing passes Algorithm 1.
 // The cut-band census and Algorithm 1's verdict are annotated on sp.
-// The two direction searches are independent reads of the same grid, so
-// the horizontal search may ride the pool while the caller runs the
-// vertical one; appending horizontal-then-vertical keeps the separator
-// order identical to the sequential search.
+// The two direction searches are independent reads of the same boxes
+// (and, for the reference and the straight-cut ablation, of the same
+// raster), so the horizontal search may ride the pool while the caller
+// runs the vertical one; appending horizontal-then-vertical keeps the
+// separator order identical to the sequential search.
 func (s *Segmenter) splitByDelimiters(d *doc.Document, n *doc.Node, sp *obs.Span, st *Stats) [][]int {
 	boxes := make([]geom.Rect, 0, len(n.Elements))
 	local := n.Box
@@ -297,14 +296,17 @@ func (s *Segmenter) splitByDelimiters(d *doc.Document, n *doc.Node, sp *obs.Span
 		b := d.Elements[id].Box
 		boxes = append(boxes, b.Translate(-local.X, -local.Y))
 	}
-	g := grid.FromRects(geom.Rect{W: local.W, H: local.H}, boxes, s.opts.GridScale)
-
-	find := findSeparators
-	switch {
-	case s.opts.StraightCutsOnly:
-		find = findStraightSeparators
-	case s.ref:
-		find = refFindSeparators
+	area := geom.Rect{W: local.W, H: local.H}
+	find := func(horizontal bool) []separator {
+		return findSeparators(area, boxes, s.opts.GridScale, horizontal)
+	}
+	if s.ref || s.opts.StraightCutsOnly {
+		g := grid.FromRects(area, boxes, s.opts.GridScale)
+		raster := refFindSeparators
+		if s.opts.StraightCutsOnly {
+			raster = findStraightSeparators
+		}
+		find = func(horizontal bool) []separator { return raster(g, boxes, horizontal) }
 	}
 	var hseps, vseps []separator
 	if s.gate != nil && s.gate.TryAcquire() {
@@ -314,13 +316,13 @@ func (s *Segmenter) splitByDelimiters(d *doc.Document, n *doc.Node, sp *obs.Span
 		go func() {
 			defer wg.Done()
 			defer s.gate.Release()
-			hseps = find(g, boxes, true)
+			hseps = find(true)
 		}()
-		vseps = find(g, boxes, false)
+		vseps = find(false)
 		wg.Wait()
 	} else {
-		hseps = find(g, boxes, true)
-		vseps = find(g, boxes, false)
+		hseps = find(true)
+		vseps = find(false)
 	}
 	seps := append(hseps, vseps...)
 	delims := identifyDelimiters(seps)
@@ -346,7 +348,8 @@ func (s *Segmenter) splitByDelimiters(d *doc.Document, n *doc.Node, sp *obs.Span
 }
 
 // findStraightSeparators is the StraightCutsOnly ablation: only projection
-// cuts (fully clear rows/columns) count, as in XY-cut.
+// cuts (fully clear rows/columns) of the raster count, as in XY-cut.
+// Clearance is the reference's per-cell scan.
 func findStraightSeparators(g *grid.Grid, boxes []geom.Rect, horizontal bool) []separator {
 	if g.W <= 0 || g.H <= 0 {
 		return nil
@@ -393,7 +396,7 @@ func findStraightSeparators(g *grid.Grid, boxes []geom.Rect, horizontal bool) []
 		for i := range path {
 			path[i] = o
 		}
-		above := classify(g, boxes, path, horizontal)
+		above := classify(g.Scale, boxes, path, horizontal)
 		nAbove := 0
 		for _, a := range above {
 			if a {
@@ -403,7 +406,7 @@ func findStraightSeparators(g *grid.Grid, boxes []geom.Rect, horizontal bool) []
 		if nAbove == 0 || nAbove == len(boxes) {
 			continue
 		}
-		width, bottleneckAt := minClearance(g, path, horizontal)
+		width, bottleneckAt := refMinClearance(g, path, horizontal)
 		width /= g.Scale
 		sig := sigOf(above)
 		if cur, ok := bySig[sig]; !ok || width > cur.width {
@@ -418,7 +421,7 @@ func findStraightSeparators(g *grid.Grid, boxes []geom.Rect, horizontal bool) []
 				horizontal: horizontal,
 				above:      above,
 				width:      width,
-				nbH:        heightAtBottleneck(g, boxes, path, bottleneckAt, horizontal),
+				nbH:        heightAtBottleneck(g.Scale, boxes, bottleneckAt, path[bottleneckAt], horizontal),
 				minSide:    minSide,
 			}
 		}

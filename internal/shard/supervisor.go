@@ -302,11 +302,11 @@ type callResult struct {
 type call struct {
 	key     string
 	doc     json.RawMessage
-	span    string // front-end parent span ID, "" when untraced
-	level   int    // front-end fidelity level, 0 = full
-	adopt   string // adoption request: path of a retired journal
-	pinned  bool   // never reroute: the request only makes sense on its shard
-	crashes int    // worker crashes ridden through while in flight
+	span    string          // front-end parent span ID, "" when untraced
+	level   int             // front-end fidelity level, 0 = full
+	adopt   string          // adoption request: path of a retired journal
+	pinned  bool            // never reroute: the request only makes sense on its shard
+	crashes int             // worker crashes ridden through while in flight
 	done    chan callResult // buffered(1)
 }
 

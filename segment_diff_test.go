@@ -117,37 +117,43 @@ func treeFingerprint(t *testing.T, d *Document, root *Node) string {
 }
 
 func TestDifferentialParallelMatchesSequential(t *testing.T) {
-	seeds := 48
+	seeds, posters := 48, 8
 	if testing.Short() {
-		seeds = 12
+		seeds, posters = 12, 2
 	}
+	var docs []*Document
 	for i := 0; i < seeds; i++ {
-		seed := int64(i + 1)
-		d := randomLayoutDoc(seed)
-		seq := segment.New(segment.Options{Parallel: 1})
-		par := segment.New(segment.Options{Parallel: 8})
-		ref := segment.NewReference(segment.Options{})
-
-		seqTree := seq.Segment(d)
-		refTree := ref.Segment(d)
-		seqFP := treeFingerprint(t, d, seqTree)
-		if refFP := treeFingerprint(t, d, refTree); seqFP != refFP {
-			t.Fatalf("seed %d: optimised sequential tree diverges from reference (seed implementation)\n--- optimised ---\n%s\n--- reference ---\n%s", seed, seqFP, refFP)
+		docs = append(docs, randomLayoutDoc(int64(i+1)))
+	}
+	// OCR'd event posters, as the benchmark's posters-online corpus
+	// builds them: no layout repeats, and OCR jitter puts element edges
+	// on fractional coordinates.
+	for i, l := range GenerateEventPosters(posters, 29) {
+		docs = append(docs, OCRNoise(l, 29+int64(i)).Doc)
+	}
+	seq := segment.New(segment.Options{Parallel: 1})
+	par := segment.New(segment.Options{Parallel: 8})
+	ref := segment.NewReference(segment.Options{})
+	for _, d := range docs {
+		seqFP := treeFingerprint(t, d, seq.Segment(d))
+		if refFP := treeFingerprint(t, d, ref.Segment(d)); seqFP != refFP {
+			t.Fatalf("%s: optimised sequential tree diverges from reference (seed implementation)\n--- optimised ---\n%s\n--- reference ---\n%s", d.ID, seqFP, refFP)
 		}
 		// The parallel segmenter races goroutines against a shared gate;
 		// repeat to give nondeterministic schedules a chance to differ.
 		for rep := 0; rep < 3; rep++ {
 			parFP := treeFingerprint(t, d, par.Segment(d))
 			if parFP != seqFP {
-				t.Fatalf("seed %d rep %d: parallel tree diverges from sequential\n--- parallel ---\n%s\n--- sequential ---\n%s", seed, rep, parFP, seqFP)
+				t.Fatalf("%s rep %d: parallel tree diverges from sequential\n--- parallel ---\n%s\n--- sequential ---\n%s", d.ID, rep, parFP, seqFP)
 			}
 		}
 	}
 }
 
 // TestDifferentialAblationModes pins the contract on the non-default
-// segmenter configurations too: every ablation switch must be
-// schedule-independent.
+// segmenter configurations too: under every ablation switch the
+// sequential tree equals the reference's with the same options, and the
+// parallel tree equals the sequential one.
 func TestDifferentialAblationModes(t *testing.T) {
 	opts := []segment.Options{
 		{StraightCutsOnly: true},
@@ -155,12 +161,23 @@ func TestDifferentialAblationModes(t *testing.T) {
 		{DisableMerging: true},
 		{GridScale: 2, MaxDepth: 4},
 	}
+	// The raster reference takes seconds per document under the race
+	// detector, so -short checks it on the first document only.
+	refDocs := 8
+	if testing.Short() {
+		refDocs = 1
+	}
 	for i := 0; i < 8; i++ {
 		d := randomLayoutDoc(int64(100 + i))
 		for oi, o := range opts {
 			oseq, opar := o, o
 			oseq.Parallel, opar.Parallel = 1, 6
 			seqFP := treeFingerprint(t, d, segment.New(oseq).Segment(d))
+			if i < refDocs {
+				if refFP := treeFingerprint(t, d, segment.NewReference(o).Segment(d)); seqFP != refFP {
+					t.Fatalf("seed %d opts[%d]: sequential tree diverges from reference", 100+i, oi)
+				}
+			}
 			parFP := treeFingerprint(t, d, segment.New(opar).Segment(d))
 			if seqFP != parFP {
 				t.Fatalf("seed %d opts[%d]: parallel tree diverges from sequential", 100+i, oi)
@@ -287,15 +304,22 @@ func TestSegmentStatsAndFallbackDegradation(t *testing.T) {
 		t.Fatalf("segment span lacks the fork attributes of a starved run: %+v", seg)
 	}
 
-	// A healthy wide run forks onto the pool.
-	ctx2, st2 := segment.WithStats(context.Background())
+	// A healthy wide run forks onto the pool, and its merge span shows
+	// the centroid cache at work.
+	wide := NewTrace("wide")
+	ctx2, st2 := segment.WithStats(obs.WithSpan(context.Background(), wide.Root()))
 	if _, err := segment.New(segment.Options{Parallel: 8}).SegmentContext(ctx2, d); err != nil {
 		t.Fatal(err)
 	}
+	wide.Finish()
 	if got := st2.Spawned.Load(); got == 0 {
 		t.Fatal("Spawned = 0 on a healthy wide run")
 	}
-	if st2.EmbedHits.Load() == 0 {
-		t.Fatal("centroid cache recorded no hits across merge passes")
+	merge := findChild(wide.Snapshot(), "merge")
+	if merge == nil {
+		t.Fatal("wide run has no merge span")
+	}
+	if hits, _ := merge.Attrs["embed_cache_hits"].(int64); hits == 0 {
+		t.Fatalf("centroid cache recorded no hits across merge passes: %+v", merge.Attrs)
 	}
 }
