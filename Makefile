@@ -143,12 +143,16 @@ bench-baseline:
 	$(GO) run ./cmd/vs2bench -obsbench
 	$(GO) run ./cmd/vs2bench -templatebench
 
-# fuzz smoke-runs the five fuzz targets (decoder, full pipeline,
-# parallel segmenter determinism, journal replay, template
-# fingerprinting under forced digest collisions).
+# fuzz smoke-runs six of the repo's ten fuzz targets: the document
+# decoder, the full pipeline, parallel segmenter determinism, journal
+# replay, template fingerprinting under forced digest collisions, and
+# the shard pipe's frame codec. The other four (FuzzPatternSets,
+# treemine's FuzzDecode, FuzzAnnotate, FuzzStem) run only their seed
+# corpora, under go test.
 fuzz:
 	$(GO) test -run FuzzDecode -fuzz FuzzDecode -fuzztime 30s ./internal/doc
 	$(GO) test -run FuzzExtract -fuzz FuzzExtract -fuzztime 30s .
 	$(GO) test -run FuzzParallelSegment -fuzz FuzzParallelSegment -fuzztime 30s .
 	$(GO) test -run FuzzJournalReplay -fuzz FuzzJournalReplay -fuzztime 30s ./internal/journal
 	$(GO) test -run FuzzFingerprint -fuzz FuzzFingerprint -fuzztime 30s ./internal/template
+	$(GO) test -run FuzzFrame -fuzz FuzzFrame -fuzztime 30s ./internal/shard

@@ -131,7 +131,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs.BoolVar(&o.metrics, "metrics", false, "print the supervisor metrics snapshot to stderr after the run")
 	fs.StringVar(&o.admin, "admin", "", "admin HTTP listener address (/metrics, /healthz, /readyz, /slo, /debug/pprof); empty disables")
 	fs.StringVar(&o.trace, "trace", "", "write one stitched cross-process span tree per document (JSONL) to this file")
-	fs.DurationVar(&o.telInterval, "telemetry-interval", 250*time.Millisecond, "how often each shard ships metric deltas and spans to the front end (0 disables)")
+	fs.DurationVar(&o.telInterval, "telemetry-interval", 250*time.Millisecond, "how often each shard ships metric deltas to the front end (0 disables)")
 	fs.DurationVar(&o.probeInterval, "probe-interval", time.Second, "shard liveness-probe cadence (negative disables)")
 	fs.DurationVar(&o.probeTimeout, "probe-timeout", 5*time.Second, "kill a shard that answers no probe within this deadline")
 	fs.DurationVar(&o.restartBackoff, "restart-backoff", 100*time.Millisecond, "base backoff before restarting a crashed shard")
@@ -249,7 +249,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 
 // fleetFidelity is the front end's side of the adaptive fidelity
 // ladder: one controller watches the whole fleet's saturation and its
-// level rides every request envelope (shard.Request.Level), so all
+// level rides every request frame (shard.Frame.Level), so all
 // shards degrade — and recover — coherently under the same verdict.
 type fleetFidelity struct {
 	ctrl  *triage.Controller
@@ -489,9 +489,9 @@ func writableDir(dir string) error {
 
 // startSupervisor wipes or keeps the state directory per -resume, then
 // launches the shard fleet, each child an incarnation of this binary in
-// -worker mode. Worker telemetry shipments fold into the returned fleet
-// registry under a shard label, and their span trees (if stitching is
-// on) into the stitcher.
+// -worker mode. Worker metric deltas fold into the returned fleet
+// registry under a shard label, and the span trees that ride traced
+// replies (if stitching is on) into the stitcher.
 func startSupervisor(o *options, stitch *stitcher, stderr io.Writer) (*shard.Supervisor, *vs2.Metrics, error) {
 	self, err := os.Executable()
 	if err != nil {
@@ -591,8 +591,8 @@ func workerArgs(o *options, i int) []string {
 	}
 	if o.fidelity == vs2.FidelityPinned || o.fidelity == vs2.FidelityAdaptive {
 		// Workers run pinned at level 0: triage is armed at its base
-		// thresholds, and the envelope level the front end stamps on each
-		// request (shard.Request.Level) overrides per document — the one
+		// thresholds, and the level the front end stamps on each request
+		// frame (shard.Frame.Level) overrides per document — the one
 		// controller lives in the front end.
 		a = append(a,
 			"-fidelity", vs2.FidelityPinned,

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -118,73 +117,95 @@ func TestWorkerArgsTemplateCache(t *testing.T) {
 }
 
 // TestWorkerPingPongAndEcho drives the -worker loop in-process: pings
-// pong, documents come back keyed with rendered result lines.
+// pong, documents come back keyed with rendered result lines and their
+// outcome class. One document's ID holds a newline, which a frame must
+// carry like any other key byte.
 func TestWorkerPingPongAndEcho(t *testing.T) {
 	corpus := bytes.Split(bytes.TrimSpace(corpusJSONL(t, 2)), []byte("\n"))
-	var stdin bytes.Buffer
-	writeReq := func(r shard.Request) {
-		data, err := json.Marshal(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		stdin.Write(data)
-		stdin.WriteByte('\n')
+	const nlKey = "d2\n00001"
+	corpus[1] = bytes.ReplaceAll(corpus[1], []byte(`"d2-00001"`), []byte(`"d2\n00001"`))
+	var stdin []byte
+	for _, f := range []shard.Frame{
+		{Kind: shard.KindPing},
+		{Kind: shard.KindDoc, Key: "doc-a", Body: corpus[0]},
+		{Kind: shard.KindDoc, Key: nlKey, Body: corpus[1]},
+		{Kind: shard.KindPing},
+	} {
+		stdin = shard.AppendFrame(stdin, f)
 	}
-	writeReq(shard.Request{Ping: true})
-	writeReq(shard.Request{Key: "doc-a", Doc: corpus[0]})
-	writeReq(shard.Request{Key: "doc-b", Doc: corpus[1]})
-	writeReq(shard.Request{Ping: true})
 
 	var stdout, stderr bytes.Buffer
-	code := runWorker([]string{"-shard", "3", "-task", "events"}, &stdin, &stdout, &stderr)
+	code := runWorker([]string{"-shard", "3", "-task", "events"}, bytes.NewReader(stdin), &stdout, &stderr)
 	if code != 0 {
 		t.Fatalf("runWorker exit %d\nstderr: %s", code, stderr.String())
 	}
 
-	pongs, lines := 0, map[string]json.RawMessage{}
-	sc := bufio.NewScanner(&stdout)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		var resp shard.Response
-		if err := json.Unmarshal(sc.Bytes(), &resp); err != nil {
-			t.Fatalf("bad response line %q: %v", sc.Text(), err)
+	pongs, replies := 0, map[string]shard.Frame{}
+	fr := shard.NewReader(&stdout, 1<<20)
+	for {
+		f, err := fr.Next()
+		if err == io.EOF {
+			break
 		}
-		if resp.Pong {
+		if err != nil {
+			t.Fatalf("bad response frame: %v", err)
+		}
+		switch f.Kind {
+		case shard.KindPong:
 			pongs++
-			continue
+		case shard.KindReply:
+			f.Body = append([]byte(nil), f.Body...)
+			replies[f.Key] = f
+		default:
+			t.Errorf("unexpected frame kind %q", rune(f.Kind))
 		}
-		lines[resp.Key] = resp.Line
 	}
 	if pongs != 2 {
 		t.Errorf("pongs = %d, want 2", pongs)
 	}
-	if len(lines) != 2 {
-		t.Fatalf("document responses = %d, want 2 (%v)", len(lines), lines)
+	if len(replies) != 2 {
+		t.Fatalf("document replies = %d, want 2 (%v)", len(replies), replies)
 	}
-	for _, key := range []string{"doc-a", "doc-b"} {
-		var dl vs2.DocLine
-		if err := json.Unmarshal(lines[key], &dl); err != nil {
-			t.Fatalf("%s: line is not a DocLine: %v", key, err)
+	for key, wantID := range map[string]string{"doc-a": "d2-00000", nlKey: nlKey} {
+		r, ok := replies[key]
+		if !ok {
+			t.Fatalf("no reply keyed %q", key)
 		}
-		if dl.Error != "" {
-			t.Errorf("%s: unexpected error line: %s", key, dl.Error)
+		var dl vs2.DocLine
+		if err := json.Unmarshal(r.Body, &dl); err != nil {
+			t.Fatalf("%q: line is not a DocLine: %v", key, err)
+		}
+		if dl.Error != "" || r.Status == shard.StatusFailed {
+			t.Errorf("%q: unexpected failure (status %d): %s", key, r.Status, dl.Error)
+		}
+		if dl.ID != wantID {
+			t.Errorf("%q: line id %q, want %q", key, dl.ID, wantID)
+		}
+		if want := len(dl.Degraded) > 0; (r.Status == shard.StatusDegraded) != want {
+			t.Errorf("%q: status %d disagrees with the line's %d degradations", key, r.Status, len(dl.Degraded))
 		}
 	}
 }
 
 // TestWorkerSkipsMalformedRequests: garbage on the request stream is
-// logged and skipped, not fatal.
+// logged and skipped, not fatal: a frame whose header does not parse,
+// an empty frame, and a frame of a kind only workers send.
 func TestWorkerSkipsMalformedRequests(t *testing.T) {
-	stdin := strings.NewReader("{\"ping\":true}\nnot json at all\n{\"ping\":true}\n")
+	stdin := shard.AppendFrame(nil, shard.Frame{Kind: shard.KindPing})
+	stdin = append(stdin, 3, 'x', 'y', 'z') // size 3, unknown kind 'x'
+	stdin = append(stdin, 0)                // size 0: no header at all
+	stdin = shard.AppendFrame(stdin, shard.Frame{Kind: shard.KindPong})
+	stdin = shard.AppendFrame(stdin, shard.Frame{Kind: shard.KindPing})
 	var stdout, stderr bytes.Buffer
-	if code := runWorker([]string{"-task", "events"}, stdin, &stdout, &stderr); code != 0 {
+	if code := runWorker([]string{"-task", "events"}, bytes.NewReader(stdin), &stdout, &stderr); code != 0 {
 		t.Fatalf("runWorker exit %d\nstderr: %s", code, stderr.String())
 	}
-	if got := bytes.Count(stdout.Bytes(), []byte("\n")); got != 2 {
-		t.Errorf("responses = %d, want 2 pongs\nstdout: %s", got, stdout.String())
+	pong := shard.AppendFrame(nil, shard.Frame{Kind: shard.KindPong})
+	if want := bytes.Repeat(pong, 2); !bytes.Equal(stdout.Bytes(), want) {
+		t.Errorf("stdout = %q, want two pongs %q", stdout.Bytes(), want)
 	}
-	if !strings.Contains(stderr.String(), "bad request skipped") {
-		t.Errorf("stderr does not mention the skipped request: %s", stderr.String())
+	if got := strings.Count(stderr.String(), "bad request skipped"); got != 3 {
+		t.Errorf("stderr mentions %d skipped requests, want 3: %s", got, stderr.String())
 	}
 }
 

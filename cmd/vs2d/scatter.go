@@ -6,8 +6,11 @@ package main
 // and every earlier line are ready. The reorder buffer is bounded by the
 // in-flight window, each index is emitted at most once (the supervisor
 // deduplicates keyed responses, the jsonl.Writer deduplicates indexes),
-// and the raw input bytes travel to the worker verbatim so no
-// re-encoding can perturb a resumed run's byte identity.
+// and the raw input bytes travel to the worker verbatim, inside a shard
+// frame, so no re-encoding can perturb a resumed run's byte identity.
+// Each document is decoded here once, for its ID and so a malformed line
+// ends the stream; the reply's outcome class arrives in its frame, so
+// the reply line itself is never parsed.
 
 import (
 	"context"
@@ -22,14 +25,16 @@ import (
 	"vs2"
 	"vs2/internal/jsonl"
 	"vs2/internal/obs"
+	"vs2/internal/shard"
 )
 
 // router is what the scatter engine needs from the shard supervisor:
-// keyed dispatch with span and fidelity level. Narrowed to an interface
-// so the serve-path plumbing (connection caps, idle deadlines) unit
-// tests against a fake without a child-process fleet.
+// keyed dispatch with span and fidelity level, answered with the result
+// line and its outcome class. Narrowed to an interface so the serve-path
+// plumbing (connection caps, idle deadlines) unit tests against a fake
+// without a child-process fleet.
 type router interface {
-	DoLevel(ctx context.Context, key string, doc json.RawMessage, span string, level int) ([]byte, error)
+	Do(ctx context.Context, key string, doc []byte, span string, level int) ([]byte, shard.Status, error)
 }
 
 // scatterConfig tunes one scatter/merge stream.
@@ -88,16 +93,16 @@ func scatter(ctx context.Context, sup router, cfg scatterConfig, in io.Reader, o
 			if cfg.level != nil {
 				lvl = cfg.level()
 			}
-			line, err := sup.DoLevel(ctx, key, doc, span, lvl)
+			line, status, err := sup.Do(ctx, key, doc, span, lvl)
 			dt.answered()
 			cfg.latency.Observe(float64(time.Since(start)) / float64(time.Millisecond))
 			if err != nil {
-				line = vs2.RenderLine(vs2.BatchResult{Doc: d, Err: &vs2.Error{
+				line, status = vs2.RenderLine(vs2.BatchResult{Doc: d, Err: &vs2.Error{
 					Phase: vs2.PhaseShard, Stage: "route", Err: err,
-				}})
+				}}), shard.StatusFailed
 			}
 			replies.Put(i, line, func() {
-				tallyLine(line, &st, cfg.metrics)
+				tally(status, &st, cfg.metrics)
 				dt.emitted() // nil-safe
 			})
 		}()
@@ -114,18 +119,17 @@ func scatter(ctx context.Context, sup router, cfg scatterConfig, in io.Reader, o
 	return st
 }
 
-// tallyLine classifies one emitted result line for the summary counters
-// and the frontend.* registry series behind /slo (m nil-safe).
-func tallyLine(line []byte, st *scatterStats, m *vs2.Metrics) {
-	var l vs2.DocLine
-	if err := json.Unmarshal(line, &l); err != nil || l.Error != "" {
+// tally counts one emitted reply by its outcome class, for the summary
+// counters and the frontend.* registry series behind /slo (m nil-safe).
+func tally(status shard.Status, st *scatterStats, m *vs2.Metrics) {
+	if status == shard.StatusFailed {
 		st.failed++
 		m.Counter("frontend.failed").Inc()
 		return
 	}
 	st.completed++
 	m.Counter("frontend.completed").Inc()
-	if len(l.Degraded) > 0 {
+	if status == shard.StatusDegraded {
 		st.degraded++
 		m.Counter("frontend.degraded").Inc()
 	}

@@ -20,6 +20,7 @@ import (
 
 	"vs2"
 	"vs2/internal/obs"
+	"vs2/internal/shard"
 )
 
 // fakeRouter answers every document with a deterministic echo line,
@@ -28,15 +29,16 @@ type fakeRouter struct {
 	delay time.Duration
 }
 
-func (f *fakeRouter) DoLevel(ctx context.Context, key string, doc json.RawMessage, span string, level int) ([]byte, error) {
+func (f *fakeRouter) Do(ctx context.Context, key string, doc []byte, span string, level int) ([]byte, shard.Status, error) {
 	if f.delay > 0 {
 		select {
 		case <-time.After(f.delay):
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return nil, 0, ctx.Err()
 		}
 	}
-	return json.Marshal(map[string]string{"id": key})
+	line, err := json.Marshal(map[string]string{"id": key})
+	return line, shard.StatusOK, err
 }
 
 // startFakeListener serves a fake-routed listener and returns its

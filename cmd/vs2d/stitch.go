@@ -2,9 +2,11 @@ package main
 
 // Cross-process trace stitching. The front end opens one trace per
 // document (admission → route → merge); the route span carries a unique
-// span_id attribute whose value travels to the worker in Request.Span.
-// The worker's extraction tree comes back in a telemetry shipment with
-// that ID as its parent_span attribute, and the stitcher grafts it under
+// span_id attribute whose value travels to the worker as the request
+// frame's Span. The worker's extraction tree comes back inside the
+// reply frame itself, with that ID as its parent_span attribute — a
+// document answered is a tree shipped, even if the worker dies a moment
+// later — and the stitcher grafts it under
 // the matching route span — one tree covering admission, routing, the
 // shard's segment/search/disambiguate phases, and the ordered merge,
 // even when the answering child is a restarted incarnation (the
@@ -34,9 +36,9 @@ type docTrace struct {
 	spanID    string
 }
 
-// stitcher accumulates front-end document traces and worker span
-// shipments for one run, grafting them together at write time (after
-// the fleet has drained, so every final telemetry flush has landed).
+// stitcher accumulates front-end document traces and worker span trees
+// for one run, grafting them together at write time (after the fleet
+// has drained; each worker tree was filed before its reply was).
 type stitcher struct {
 	mu      sync.Mutex
 	seq     int
@@ -128,7 +130,7 @@ func (st *stitcher) onTelemetry(t shard.Telemetry) {
 // writeFile grafts and writes the stitched stream: one JSONL tree per
 // document, followed by any worker trees that matched nothing (left as
 // top-level orphans for vs2trace to flag). Call only after the fleet
-// has drained — final telemetry flushes arrive until then.
+// has drained, when no reply can still bring a tree.
 func (st *stitcher) writeFile(path string) error {
 	f, err := os.Create(path)
 	if err != nil {

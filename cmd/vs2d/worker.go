@@ -2,13 +2,16 @@ package main
 
 // The shard-worker mode: the loop the supervisor runs in each child
 // process. One worker owns one slice of the keyspace and one journal;
-// it reads shard.Request lines from stdin, answers pings immediately,
-// extracts documents through a vs2.Server with the front-end-assigned
-// journal key, and writes keyed shard.Response lines on stdout. The
-// journal always opens in resume mode — an intra-run restart must
-// replay its completions (that is the whole point of restarting), and a
-// fresh front-end run has already wiped the state directory — and is
-// owner-stamped so shard K can never resume shard J's state.
+// it reads shard frames from stdin, answers pings immediately, extracts
+// documents through a vs2.Server with the front-end-assigned journal
+// key, and writes keyed reply frames on stdout: the result line
+// verbatim, its outcome class from the BatchResult (a replayed line is
+// parsed for it, nothing else is), and — when the front end traces —
+// the document's span tree, all in one write. The journal always opens
+// in resume mode — an intra-run restart must replay its completions
+// (that is the whole point of restarting), and a fresh front-end run
+// has already wiped the state directory — and is owner-stamped so shard
+// K can never resume shard J's state.
 //
 // Stdin EOF is the shutdown signal: the parent closed the pipe (orderly
 // drain or front-end death); the worker finishes its in-flight
@@ -19,6 +22,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -43,9 +47,9 @@ func runWorker(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	maxLine := fs.Int("max-line", 16<<20, "largest document line accepted, in bytes")
 	jpath := fs.String("journal", "", "write-ahead journal path (empty disables durability)")
 	jsync := fs.String("journal-sync", "always", "journal fsync policy: always | interval | never")
-	telInterval := fs.Duration("telemetry-interval", 0, "ship metric deltas and completed spans up the response pipe this often (0 disables)")
-	traceSpans := fs.Bool("trace-spans", false, "trace each extracted document and ship its span tree with the telemetry")
-	fidelity := fs.String("fidelity", "off", "fidelity ladder mode: off | pinned | adaptive (the front end passes pinned 0: envelope levels decide per document)")
+	telInterval := fs.Duration("telemetry-interval", 0, "ship metric deltas up the response pipe this often (0 disables)")
+	traceSpans := fs.Bool("trace-spans", false, "trace each extracted document and send its span tree with its reply")
+	fidelity := fs.String("fidelity", "off", "fidelity ladder mode: off | pinned | adaptive (the front end passes pinned 0: request-frame levels decide per document)")
 	fidelityLvls := fs.Int("fidelity-levels", 3, "deepest fidelity degradation level")
 	fidelityPin := fs.Int("fidelity-pin", 0, "level a pinned-mode ladder holds")
 	templateCache := fs.Int("template-cache", 0, "layout-template cache capacity in entries (0 disables)")
@@ -103,36 +107,34 @@ func runWorker(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		}
 	}
 
-	// Responses interleave from many goroutines; each line is marshalled
-	// whole and written under one mutex so frames never tear.
+	// Frames interleave from many goroutines; each is encoded whole and
+	// written under one mutex, in one write, so frames never tear.
 	var wmu sync.Mutex
-	respond := func(resp shard.Response) {
-		data, err := json.Marshal(resp)
-		if err != nil {
-			logf("marshal response: %v", err)
-			return
-		}
+	var wbuf []byte
+	send := func(f shard.Frame) {
 		wmu.Lock()
-		stdout.Write(append(data, '\n')) //nolint:errcheck
+		wbuf = shard.AppendFrame(wbuf[:0], f)
+		stdout.Write(wbuf) //nolint:errcheck
 		wmu.Unlock()
 	}
 
-	// The telemetry shipper: metric deltas since the last shipment plus
-	// the span trees completed since then, riding the response pipe as
-	// keyless Telemetry lines. The supervisor stamps shard and epoch on
-	// receipt, so the worker sends neither.
+	// The telemetry shipper: metric deltas since the last shipment, riding
+	// the response pipe as keyless telemetry frames. The supervisor stamps
+	// shard and epoch on receipt, so the worker sends neither.
 	var telMu sync.Mutex
-	var pendingSpans []vs2.SpanSnapshot
 	var lastShipped vs2.MetricsSnapshot
 	ship := func(final bool) {
 		telMu.Lock()
-		spans := pendingSpans
-		pendingSpans = nil
 		cur := wm.Snapshot()
 		delta := cur.DeltaSince(lastShipped)
 		lastShipped = cur
 		telMu.Unlock()
-		respond(shard.Response{Telemetry: &shard.Telemetry{Metrics: &delta, Spans: spans, Final: final}})
+		data, err := json.Marshal(shard.Telemetry{Metrics: &delta, Final: final})
+		if err != nil {
+			logf("marshal telemetry: %v", err)
+			return
+		}
+		send(shard.Frame{Kind: shard.KindTelemetry, Body: data})
 	}
 	stopShip := make(chan struct{})
 	shipDone := make(chan struct{})
@@ -154,35 +156,37 @@ func runWorker(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		close(shipDone)
 	}
 
-	// extract runs one document, tracing it when asked. Journal-replayed
-	// documents never re-run, so they get a stub tree marked replayed —
-	// the front end's stitched trace still shows where the cached answer
-	// came from, and vs2trace knows not to demand pipeline phases of it.
-	extract := func(ctx context.Context, i int, req shard.Request, d *vs2.Document) vs2.BatchResult {
+	// extract runs one document, tracing it when asked, and returns the
+	// span tree (JSON) its reply carries. Journal-replayed documents never
+	// re-run, so they get a stub tree marked replayed — the front end's
+	// stitched trace still shows where the cached answer came from, and
+	// vs2trace knows not to demand pipeline phases of it.
+	extract := func(ctx context.Context, i int, key, span string, d *vs2.Document) (vs2.BatchResult, []byte) {
 		if !*traceSpans {
-			return s.ExtractRecordedKey(ctx, i, req.Key, d, jrn)
+			return s.ExtractRecordedKey(ctx, i, key, d, jrn), nil
 		}
-		tr := vs2.NewTrace("worker " + req.Key)
+		tr := vs2.NewTrace("worker " + key)
 		root := tr.Root()
-		root.SetAttr("key", req.Key)
-		if req.Span != "" {
-			root.SetAttr("parent_span", req.Span)
+		root.SetAttr("key", key)
+		if span != "" {
+			root.SetAttr("parent_span", span)
 		}
 		var br vs2.BatchResult
-		if _, done := jrn.Completed(req.Key); done {
-			br = s.ExtractRecordedKey(ctx, i, req.Key, d, jrn) // replay fast path
+		if _, done := jrn.Completed(key); done {
+			br = s.ExtractRecordedKey(ctx, i, key, d, jrn) // replay fast path
 			root.SetAttr("replayed", true)
 		} else {
-			br = s.ExtractRecordedKey(vs2.WithTrace(ctx, tr), i, req.Key, d, jrn)
+			br = s.ExtractRecordedKey(vs2.WithTrace(ctx, tr), i, key, d, jrn)
 			if br.Replayed {
 				root.SetAttr("replayed", true)
 			}
 		}
 		tr.Finish()
-		telMu.Lock()
-		pendingSpans = append(pendingSpans, tr.Snapshot())
-		telMu.Unlock()
-		return br
+		tree, err := json.Marshal(tr.Snapshot())
+		if err != nil {
+			logf("marshal span tree of %q: %v", key, err)
+		}
+		return br, tree
 	}
 
 	window := vs2.ServerConfig{Workers: *workers, Queue: *queue}.Window()
@@ -191,72 +195,87 @@ func runWorker(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	var done, replayed atomic.Int64
 	ctx := context.Background()
 	index := 0
-	// Requests wrap the document line in a small key envelope; allow the
-	// envelope beyond the front end's own -max-line.
-	scanErr := jsonl.ScanLines(stdin, fmt.Sprintf("shard-%d stdin", *shardID), *maxLine+4096, func(raw []byte) error {
-		var req shard.Request
-		if err := json.Unmarshal(raw, &req); err != nil {
+	// A document frame holds the document line plus its key (at most
+	// another line's worth: the key is the document's ID) and a span ID.
+	frames := shard.NewReader(stdin, 2*(*maxLine)+4096)
+	var readErr error
+	for {
+		f, err := frames.Next()
+		if errors.Is(err, shard.ErrMalformed) {
 			logf("bad request skipped: %v", err)
-			return nil
+			continue
 		}
-		if req.Ping {
-			respond(shard.Response{Pong: true})
-			return nil
+		if err != nil {
+			if err != io.EOF {
+				readErr = fmt.Errorf("shard-%d stdin: %w", *shardID, err)
+			}
+			break
 		}
-		if req.Adopt != "" {
+		switch f.Kind {
+		case shard.KindPing:
+			send(shard.Frame{Kind: shard.KindPong})
+			continue
+		case shard.KindAdopt:
 			// Scale-in handoff: merge the retired shard's journal (already
 			// transferred to this worker's owner label) into our own. The
 			// ack rides the per-key FIFO like a document; Adopt is
 			// idempotent, so a crash between merge and ack just re-merges
 			// an already-removed source on the retried request.
+			key, path := f.Key, string(f.Body)
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				n, aerr := jrn.Adopt(req.Adopt)
+				n, aerr := jrn.Adopt(path)
 				if aerr != nil {
-					logf("adopt %s: %v", req.Adopt, aerr)
-					respond(shard.Response{Key: req.Key, Err: aerr.Error()})
+					logf("adopt %s: %v", path, aerr)
+					send(shard.Frame{Kind: shard.KindError, Key: key, Body: []byte(aerr.Error())})
 					return
 				}
-				logf("adopted %d entries from %s", n, req.Adopt)
-				respond(shard.Response{Key: req.Key, Adopted: n})
+				logf("adopted %d entries from %s", n, path)
+				send(shard.Frame{Kind: shard.KindAdopted, Key: key})
 			}()
-			return nil
+			continue
+		case shard.KindDoc:
+		default:
+			logf("bad request skipped: unexpected frame kind %q", rune(f.Kind))
+			continue
 		}
 		i := index
 		index++
-		d, derr := jsonl.DecodeDocument(req.Doc)
+		key, span, level := f.Key, f.Span, f.Level
+		// Decoded before the next read: the frame's body is the reader's
+		// buffer.
+		d, derr := jsonl.DecodeDocument(f.Body)
 		if derr != nil {
-			respond(shard.Response{Key: req.Key, Line: vs2.RenderLine(vs2.BatchResult{
+			send(shard.Frame{Kind: shard.KindReply, Key: key, Status: shard.StatusFailed, Body: vs2.RenderLine(vs2.BatchResult{
 				Err: &vs2.Error{Phase: vs2.PhaseShard, Stage: "decode", Err: derr},
 			})})
-			return nil
+			continue
 		}
 		sem <- struct{}{}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			// The front end's fidelity level rides the envelope; carry it
-			// on the context so this document triages at the fleet's level.
+			// The front end's fidelity level rides the frame; carry it on
+			// the context so this document triages at the fleet's level.
 			rctx := ctx
-			if req.Level > 0 {
-				rctx = vs2.WithFidelity(ctx, req.Level)
+			if level > 0 {
+				rctx = vs2.WithFidelity(ctx, level)
 			}
-			br := extract(rctx, i, req, d)
+			br, tree := extract(rctx, i, key, span, d)
 			if br.Replayed {
 				replayed.Add(1)
 			}
 			done.Add(1)
-			respond(shard.Response{Key: req.Key, Line: br.Line})
+			send(shard.Frame{Kind: shard.KindReply, Key: key, Status: frameStatus[br.Status], Trace: tree, Body: br.Line})
 		}()
-		return nil
-	})
+	}
 	wg.Wait()
 
 	code := 0
-	if scanErr != nil {
-		logf("%v", scanErr)
+	if readErr != nil {
+		logf("%v", readErr)
 		code = 1
 	}
 	shutCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -267,7 +286,7 @@ func runWorker(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	}
 	close(stopShip)
 	<-shipDone
-	if *telInterval > 0 || *traceSpans {
+	if *telInterval > 0 {
 		ship(true) // shutdown flush: whatever the last tick missed
 	}
 	if err := jrn.Close(); err != nil {
@@ -276,4 +295,12 @@ func runWorker(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	}
 	logf("%d documents (%d replayed)", done.Load(), replayed.Load())
 	return code
+}
+
+// frameStatus carries a result line's outcome class into its reply
+// frame.
+var frameStatus = [...]shard.Status{
+	vs2.StatusOK:       shard.StatusOK,
+	vs2.StatusDegraded: shard.StatusDegraded,
+	vs2.StatusFailed:   shard.StatusFailed,
 }

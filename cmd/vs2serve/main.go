@@ -467,37 +467,25 @@ func extractOne(ctx context.Context, s *vs2.Server, jrn *vs2.Journal, i int, d *
 	return br
 }
 
-// statsFor classifies one outcome for the summary counters. Replayed
-// lines are re-parsed: a cached permanent failure must count (and exit)
-// exactly as it did in the run that recorded it.
+// statsFor classifies one outcome for the summary counters by its line's
+// Status, which a replay reads off the cached line: a cached permanent
+// failure counts (and exits) exactly as it did in the run that recorded
+// it.
 func statsFor(br vs2.BatchResult) func(*streamStats) {
-	replayed := br.Replayed
-	var failed, shed, degraded bool
-	switch {
-	case br.Replayed:
-		var l vs2.DocLine
-		if err := json.Unmarshal(br.Line, &l); err == nil {
-			failed = l.Error != ""
-			degraded = len(l.Degraded) > 0
-		}
-	case br.Err != nil:
-		failed = true
-		shed = errors.Is(br.Err, vs2.ErrOverloaded)
-	default:
-		degraded = br.Result.IsDegraded()
-	}
+	status, replayed := br.Status, br.Replayed
+	shed := errors.Is(br.Err, vs2.ErrOverloaded)
 	return func(st *streamStats) {
-		switch {
-		case failed:
+		switch status {
+		case vs2.StatusFailed:
 			st.failed++
 			if shed {
 				st.shed++
 			}
+		case vs2.StatusDegraded:
+			st.completed++
+			st.degraded++
 		default:
 			st.completed++
-			if degraded {
-				st.degraded++
-			}
 		}
 		if replayed {
 			st.replayed++

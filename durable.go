@@ -152,11 +152,35 @@ type DocLine struct {
 	Error    string       `json:"error,omitempty"`
 }
 
+// Status is the outcome class of one result line: what the summary
+// counters count and what a shard's reply frame carries, so no consumer
+// re-parses a line to learn it.
+type Status uint8
+
+const (
+	// StatusOK is a completed document with no degradation.
+	StatusOK Status = iota
+	// StatusDegraded is a completed document whose line lists at least
+	// one degradation.
+	StatusDegraded
+	// StatusFailed is a document whose line carries an error.
+	StatusFailed
+)
+
 // RenderLine renders one batch outcome as its canonical output line
 // (JSON, no trailing newline). Degradations are rendered without their
 // wall-clock timestamps — the line must be reproducible across runs for
 // the crash-recovery byte-identity contract.
 func RenderLine(r BatchResult) []byte {
+	line, _ := renderStatus(r)
+	return line
+}
+
+// renderStatus renders r's line and classifies it. The class is read
+// off the DocLine that was marshalled, so it agrees with the line in
+// every case — including the render-error fallback, where a result
+// with a non-finite score becomes an error line although Err is nil.
+func renderStatus(r BatchResult) ([]byte, Status) {
 	out := DocLine{}
 	if r.Doc != nil {
 		out.ID = r.Doc.ID
@@ -178,9 +202,32 @@ func RenderLine(r BatchResult) []byte {
 	if err != nil {
 		// Extraction and error strings always marshal; reaching this
 		// means a programming error, and the line still must exist.
-		data, _ = json.Marshal(DocLine{ID: out.ID, Error: "render: " + err.Error()})
+		out = DocLine{ID: out.ID, Error: "render: " + err.Error()}
+		data, _ = json.Marshal(out)
 	}
-	return data
+	return data, out.status()
+}
+
+// lineStatus classifies a rendered line, such as one replayed from a
+// journal. A line that does not parse counts as failed.
+func lineStatus(line []byte) Status {
+	var l DocLine
+	if err := json.Unmarshal(line, &l); err != nil {
+		return StatusFailed
+	}
+	return l.status()
+}
+
+// status is the one outcome rule: an error fails the line, a listed
+// degradation degrades it.
+func (l *DocLine) status() Status {
+	switch {
+	case l.Error != "":
+		return StatusFailed
+	case len(l.Degraded) > 0:
+		return StatusDegraded
+	}
+	return StatusOK
 }
 
 // recordKey is the journal key for a document: its ID, or a positional
@@ -228,18 +275,19 @@ func (s *Server) ExtractRecordedKey(ctx context.Context, index int, key string, 
 	if line, ok := j.Completed(key); ok {
 		br.Replayed = true
 		br.Line = line
+		br.Status = lineStatus(line) // the journal keeps lines, not results
 		s.m.Counter("serve.replayed").Inc()
 		return br
 	}
 	br.Result, br.Err = s.Extract(ctx, d)
-	br.Line = RenderLine(br)
+	br.Line, br.Status = renderStatus(br)
 	if j != nil && (br.Err == nil || !IsTransient(br.Err)) {
 		if err := j.st.Complete(key, br.Line); err != nil {
 			// The result cannot be acknowledged because it was never made
 			// durable.
 			br.Result = nil
 			br.Err = &Error{Phase: PhaseJournal, Stage: "complete", Err: err}
-			br.Line = RenderLine(br)
+			br.Line, br.Status = renderStatus(br)
 		}
 	}
 	return br

@@ -9,7 +9,9 @@ package vs2
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"math"
 	"path/filepath"
 	"testing"
 
@@ -165,6 +167,9 @@ func TestDurablePermanentRejectionReplays(t *testing.T) {
 	if !bytes.Equal(out[0].Line, firstLine) {
 		t.Fatalf("replayed rejection line differs:\n  run:    %s\n  replay: %s", firstLine, out[0].Line)
 	}
+	if out[0].Status != StatusFailed {
+		t.Fatalf("replayed rejection has status %d, want StatusFailed", out[0].Status)
+	}
 }
 
 // TestRenderLineDeterministic: the rendered line of a degraded result
@@ -184,5 +189,50 @@ func TestRenderLineDeterministic(t *testing.T) {
 	}
 	if !bytes.Contains(a, []byte("segment degraded to whitespace: boom")) {
 		t.Fatalf("degradation rendering missing from %s", a)
+	}
+}
+
+// TestRenderStatusAgreesWithLine: the outcome class rendered with a line
+// is the class the line itself states, for every shape of result —
+// including the render-error fallback, where a non-finite score turns a
+// result with a nil Err into an error line — and parsing the line, as a
+// journal replay does, gives the same class.
+func TestRenderStatusAgreesWithLine(t *testing.T) {
+	ents := []Extraction{{Entity: "title", Text: "X", Score: 0.5}}
+	cases := []struct {
+		name string
+		r    BatchResult
+		want Status
+	}{
+		{"entities", BatchResult{Doc: namedDoc("ok"), Result: &Result{Entities: ents}}, StatusOK},
+		{"empty result", BatchResult{Doc: namedDoc("empty"), Result: &Result{}}, StatusOK},
+		{"no result no error", BatchResult{Doc: namedDoc("bare")}, StatusOK},
+		{"degraded", BatchResult{Doc: namedDoc("deg"), Result: &Result{
+			Entities: ents,
+			Degraded: []Degradation{{Phase: PhaseSegment, Fallback: "linear-segmentation", Cause: "boom"}},
+		}}, StatusDegraded},
+		{"error", BatchResult{Doc: namedDoc("err"), Err: &Error{Phase: PhaseShard, Stage: "route", Err: errors.New("down")}}, StatusFailed},
+		{"error without document", BatchResult{Err: errors.New("undecodable")}, StatusFailed},
+		{"render fallback", BatchResult{Doc: namedDoc("nan"), Result: &Result{
+			Entities: []Extraction{{Entity: "title", Text: "X", Score: math.NaN()}},
+			Degraded: []Degradation{{Phase: PhaseSegment, Fallback: "linear-segmentation"}},
+		}}, StatusFailed},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			line, status := renderStatus(tc.r)
+			if !bytes.Equal(line, RenderLine(tc.r)) {
+				t.Fatalf("renderStatus line %s differs from RenderLine %s", line, RenderLine(tc.r))
+			}
+			if status != tc.want {
+				t.Errorf("status %d, want %d for line %s", status, tc.want, line)
+			}
+			if got := lineStatus(line); got != status {
+				t.Errorf("parsed status %d disagrees with rendered status %d for line %s", got, status, line)
+			}
+		})
+	}
+	if got := lineStatus([]byte("not json")); got != StatusFailed {
+		t.Errorf("unparseable line: status %d, want StatusFailed", got)
 	}
 }

@@ -36,8 +36,8 @@ const (
 	// the same. The server behaves exactly as one without the subsystem.
 	FidelityOff = "off"
 	// FidelityPinned holds the fidelity level at FidelityPolicy.Pin. A
-	// context-carried level (WithFidelity — the sharded front end's
-	// envelope) still overrides per document.
+	// context-carried level (WithFidelity — the level in the sharded
+	// front end's request frame) still overrides per document.
 	FidelityPinned = "pinned"
 	// FidelityAdaptive runs the load controller: the level shifts up
 	// under saturation and back down on recovery.
@@ -55,8 +55,8 @@ type FidelityPolicy struct {
 	Levels int
 	// Pin is the level a pinned-mode server holds (clamped to
 	// [0, Levels]). Pin 0 enables triage at base thresholds only —
-	// the mode the sharded workers run in, so the front end's envelope
-	// level (WithFidelity) decides per document.
+	// the mode the sharded workers run in, so the level in the front
+	// end's request frame (WithFidelity) decides per document.
 	Pin int
 	// Triage is the level-0 complexity thresholds; the zero value
 	// selects the triage package defaults.
@@ -234,7 +234,7 @@ func (s *Server) FidelityLevel() int {
 
 // triageCtx runs the pre-pass for one admitted document: score it,
 // classify it at the resolved fidelity level (a context-carried level —
-// the fleet envelope — overrides the server's own), count it, and
+// the fleet's request frame — overrides the server's own), count it, and
 // attach the decision for ExtractContext to route on. With the ladder
 // off it returns ctx untouched — the zero-cost path the determinism
 // contracts rely on.

@@ -84,8 +84,26 @@ func trimSpace(b []byte) []byte {
 }
 
 // DecodeDocument accepts a labelled document or a bare one, matching
-// the vs2 command's loader.
+// the vs2 command's loader: a line that decodes as a labelled document
+// with a non-null "doc" yields that document, and any other line is
+// decoded as a bare one. A single decode into both shapes at once
+// settles the common case; only a line that decode rejects is decoded
+// the two ways the rule names, so the result is the rule's for every
+// input.
 func DecodeDocument(raw []byte) (*doc.Document, error) {
+	var both struct {
+		doc.Document
+		Doc *doc.Document `json:"doc"`
+		// Never read: decoded so that a truth the labelled shape rejects
+		// rejects this decode too.
+		Truth *doc.GroundTruth `json:"truth"`
+	}
+	if err := json.Unmarshal(raw, &both); err == nil {
+		if both.Doc != nil {
+			return both.Doc, nil
+		}
+		return &both.Document, nil
+	}
 	var l doc.Labeled
 	if err := json.Unmarshal(raw, &l); err == nil && l.Doc != nil {
 		return l.Doc, nil

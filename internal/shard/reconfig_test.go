@@ -51,7 +51,7 @@ func TestSupervisorScaleOut(t *testing.T) {
 			default:
 			}
 			key := fmt.Sprintf("bg-%04d", i)
-			if _, err := s.Do(ctx, key, json.RawMessage(`{}`)); err != nil {
+			if _, _, err := s.Do(ctx, key, []byte(`{}`), "", 0); err != nil {
 				trafficErr.Store(fmt.Errorf("%s: %w", key, err))
 				return
 			}
@@ -89,7 +89,7 @@ func TestSupervisorScaleOut(t *testing.T) {
 			break
 		}
 	}
-	line, err := s.Do(ctx, key, json.RawMessage(`{}`))
+	line, _, err := s.Do(ctx, key, []byte(`{}`), "", 0)
 	if err != nil {
 		t.Fatalf("Do(%s) on new shard: %v", key, err)
 	}
@@ -147,7 +147,7 @@ func TestSupervisorScaleInHandoff(t *testing.T) {
 	defer cancel()
 	// Seed some traffic so every shard has lived.
 	for i := 0; i < 12; i++ {
-		if _, err := s.Do(ctx, fmt.Sprintf("seed-%02d", i), json.RawMessage(`{}`)); err != nil {
+		if _, _, err := s.Do(ctx, fmt.Sprintf("seed-%02d", i), []byte(`{}`), "", 0); err != nil {
 			t.Fatalf("seed Do: %v", err)
 		}
 	}
@@ -176,7 +176,7 @@ func TestSupervisorScaleInHandoff(t *testing.T) {
 	// The shrunken fleet serves everything.
 	for i := 0; i < 6; i++ {
 		key := fmt.Sprintf("after-%02d", i)
-		if _, err := s.Do(ctx, key, json.RawMessage(`{}`)); err != nil {
+		if _, _, err := s.Do(ctx, key, []byte(`{}`), "", 0); err != nil {
 			t.Fatalf("Do(%s) after scale-in: %v", key, err)
 		}
 	}
@@ -225,7 +225,7 @@ func TestSupervisorScaleInDrainsInFlight(t *testing.T) {
 		wg.Add(1)
 		go func(k string) {
 			defer wg.Done()
-			if _, err := s.Do(ctx, k, json.RawMessage(`{}`)); err != nil {
+			if _, _, err := s.Do(ctx, k, []byte(`{}`), "", 0); err != nil {
 				errs <- fmt.Errorf("%s: %w", k, err)
 			}
 		}(k)
@@ -271,7 +271,7 @@ func TestSupervisorScaleHandoffError(t *testing.T) {
 	if got := s.Shards(); got != 1 {
 		t.Errorf("Shards() = %d after aborted handoff, want 1 (routing already flipped)", got)
 	}
-	if _, err := s.Do(ctx, "still-serving", json.RawMessage(`{}`)); err != nil {
+	if _, _, err := s.Do(ctx, "still-serving", []byte(`{}`), "", 0); err != nil {
 		t.Errorf("Do after failed handoff: %v", err)
 	}
 }
@@ -309,7 +309,7 @@ func TestSupervisorRoll(t *testing.T) {
 			default:
 			}
 			key := fmt.Sprintf("roll-bg-%04d", i)
-			if _, err := s.Do(ctx, key, json.RawMessage(`{}`)); err != nil {
+			if _, _, err := s.Do(ctx, key, []byte(`{}`), "", 0); err != nil {
 				trafficErr.Store(fmt.Errorf("%s: %w", key, err))
 				return
 			}
@@ -389,7 +389,7 @@ func TestSupervisorScaleSerializes(t *testing.T) {
 	if len(h.Shards) != got {
 		t.Errorf("Health reports %d shards, view says %d", len(h.Shards), got)
 	}
-	if _, err := s.Do(ctx, "post-scale", json.RawMessage(`{}`)); err != nil {
+	if _, _, err := s.Do(ctx, "post-scale", []byte(`{}`), "", 0); err != nil {
 		t.Errorf("Do after concurrent scales: %v", err)
 	}
 }
@@ -423,7 +423,7 @@ func TestSupervisorCloseDuringRestartChurn(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			s.Do(ctx, fmt.Sprintf("churn-%02d", i), json.RawMessage(`{}`)) //nolint:errcheck
+			s.Do(ctx, fmt.Sprintf("churn-%02d", i), []byte(`{}`), "", 0) //nolint:errcheck
 		}(i)
 	}
 	time.Sleep(100 * time.Millisecond)

@@ -120,7 +120,9 @@ type Config struct {
 	// shard="3" rather than a key-suffix pseudo-name.
 	Metrics *obs.Registry
 	// OnTelemetry, when non-nil, observes every telemetry shipment a
-	// worker sends up the response pipe, stamped with the authoritative
+	// worker sends up the response pipe, and every span tree a traced
+	// reply carries (as a shipment of one span, observed before the
+	// reply reaches its caller), each stamped with the authoritative
 	// shard index and child epoch. Called from the shard's reader
 	// goroutine — implementations must be quick and internally
 	// synchronized.
@@ -295,13 +297,14 @@ func breakerThreshold(t int) int {
 
 // Result of one call, delivered exactly once.
 type callResult struct {
-	line []byte
-	err  error
+	line   []byte
+	status Status
+	err    error
 }
 
 type call struct {
 	key     string
-	doc     json.RawMessage
+	doc     []byte
 	span    string          // front-end parent span ID, "" when untraced
 	level   int             // front-end fidelity level, 0 = full
 	adopt   string          // adoption request: path of a retired journal
@@ -310,46 +313,38 @@ type call struct {
 	done    chan callResult // buffered(1)
 }
 
-// Do routes one document to its shard and blocks for the result line.
+// Do routes one document to its shard and blocks for its reply: the
+// worker's result line and that line's outcome class. span, when
+// non-empty, is the front end's span ID for the document: the worker
+// traces the extraction and stamps its span tree with span as parent,
+// so the front end can stitch a cross-process trace. level is the
+// fidelity level the worker extracts at (vs2.WithFidelity on the worker
+// side), so one front-end controller degrades the whole fleet
+// coherently; 0 is full fidelity.
+//
 // A crashed shard's outstanding work is re-sent to its restarted child
 // (which replays its journal rather than re-extracting completed
 // documents); a crash-looping shard's traffic fails over to the next
-// live shard on the ring. Do returns the worker's result line, or an
-// error when the caller's context expires, the supervisor closes, or
-// the whole fleet is permanently failed.
-func (s *Supervisor) Do(ctx context.Context, key string, doc json.RawMessage) ([]byte, error) {
-	return s.DoSpan(ctx, key, doc, "")
-}
-
-// DoSpan is Do with a front-end span ID: the worker stamps its own
-// extraction span tree with span as its parent, so the front end can
-// stitch a cross-process trace for this document. An empty span
-// disables worker tracing for the call.
-func (s *Supervisor) DoSpan(ctx context.Context, key string, doc json.RawMessage, span string) ([]byte, error) {
-	return s.DoLevel(ctx, key, doc, span, 0)
-}
-
-// DoLevel is DoSpan with a fidelity level: the worker extracts the
-// document at the front end's level (vs2.WithFidelity on the worker
-// side), so one front-end controller degrades the whole fleet
-// coherently. Level 0 is full fidelity.
-func (s *Supervisor) DoLevel(ctx context.Context, key string, doc json.RawMessage, span string, level int) ([]byte, error) {
+// live shard on the ring. Do returns an error when the caller's context
+// expires, the supervisor closes, or the whole fleet is permanently
+// failed.
+func (s *Supervisor) Do(ctx context.Context, key string, doc []byte, span string, level int) ([]byte, Status, error) {
 	if s.closed.Load() {
-		return nil, ErrClosed
+		return nil, 0, ErrClosed
 	}
 	target, ok := s.route(key)
 	if !ok {
-		return nil, ErrNoShards
+		return nil, 0, ErrNoShards
 	}
 	c := &call{key: key, doc: doc, span: span, level: level, done: make(chan callResult, 1)}
 	target.enqueue(c)
 	select {
 	case r := <-c.done:
-		return r.line, r.err
+		return r.line, r.status, r.err
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		return nil, 0, ctx.Err()
 	case <-s.done:
-		return nil, ErrClosed
+		return nil, 0, ErrClosed
 	}
 }
 
@@ -976,6 +971,7 @@ type proc struct {
 	stdout *os.File
 
 	wmu      sync.Mutex
+	wbuf     []byte // frame encoding scratch, guarded by wmu
 	exited   chan struct{}
 	waitErr  error
 	killOnce sync.Once
@@ -983,15 +979,16 @@ type proc struct {
 	lastSeen atomic.Int64 // unix nanos of the latest pong or response
 }
 
-func (p *proc) write(v any) error {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
+// write sends one frame to the child in a single write, so frames from
+// the flush loop and the prober never interleave.
+func (p *proc) write(f Frame) error {
 	p.wmu.Lock()
 	defer p.wmu.Unlock()
-	_, err = p.stdin.Write(data)
+	p.wbuf = AppendFrame(p.wbuf[:0], f)
+	_, err := p.stdin.Write(p.wbuf)
+	if cap(p.wbuf) > 1<<20 {
+		p.wbuf = nil // do not pin one outsized document for the child's life
+	}
 	return err
 }
 
@@ -1173,58 +1170,89 @@ func (st *shardState) flush(p *proc) bool {
 		st.queue = st.queue[1:]
 		st.sent[c.key] = append(st.sent[c.key], c)
 		st.mu.Unlock()
-		if err := p.write(Request{Key: c.key, Doc: c.doc, Span: c.span, Level: c.level, Adopt: c.adopt}); err != nil {
+		f := Frame{Kind: KindDoc, Key: c.key, Span: c.span, Level: c.level, Body: c.doc}
+		if c.adopt != "" {
+			f = Frame{Kind: KindAdopt, Key: c.key, Body: []byte(c.adopt)}
+		}
+		if err := p.write(f); err != nil {
 			return false
 		}
 	}
 }
 
+// replyLimit bounds one frame from a worker. It sits far above any reply
+// a worker renders and only keeps a corrupt size field from allocating
+// without bound.
+const replyLimit = 1 << 28
+
 // readResponses drains the child's stdout until EOF, delivering each
-// keyed line to the oldest waiting call for that key and forwarding
-// telemetry shipments, stamped with the shard index and this child's
-// epoch, to the telemetry observer.
+// keyed reply to the oldest waiting call for that key and forwarding
+// telemetry shipments and reply span trees, stamped with the shard index
+// and this child's epoch, to the telemetry observer. A frame it cannot
+// read kills the child: the exit path then requeues whatever it owed.
 func (st *shardState) readResponses(p *proc, epoch int64, done chan<- struct{}) {
 	defer close(done)
 	defer p.stdout.Close() //nolint:errcheck
-	dec := json.NewDecoder(p.stdout)
+	fr := NewReader(p.stdout, replyLimit)
 	for {
-		var r Response
-		if err := dec.Decode(&r); err != nil {
-			return // EOF or a torn line from a dying child
+		f, err := fr.Next()
+		if err != nil {
+			if err != io.EOF {
+				p.kill() // a torn frame from a dying child, or a broken protocol
+			}
+			return
 		}
 		p.lastSeen.Store(time.Now().UnixNano())
 		st.markLive(epoch)
-		if r.Telemetry != nil {
+		switch f.Kind {
+		case KindTelemetry:
 			st.sup.m.Counter(obs.Name("shard.telemetry.shipments", st.label())).Inc()
-			if cb := st.sup.cfg.OnTelemetry; cb != nil {
-				t := *r.Telemetry
-				t.Shard = st.id
-				t.Epoch = epoch
-				cb(t)
+			var t Telemetry
+			if err := json.Unmarshal(f.Body, &t); err == nil {
+				st.observe(t, epoch)
 			}
-			continue
+		case KindReply:
+			if len(f.Trace) > 0 {
+				// The tree goes to the stitcher before the line goes to its
+				// caller, so an emitted document's tree is always on file.
+				var sp obs.SpanSnapshot
+				if err := json.Unmarshal(f.Trace, &sp); err == nil {
+					st.observe(Telemetry{Spans: []obs.SpanSnapshot{sp}}, epoch)
+				}
+			}
+			st.deliver(f.Key, callResult{line: append([]byte(nil), f.Body...), status: f.Status})
+		case KindAdopted:
+			st.deliver(f.Key, callResult{})
+		case KindError:
+			st.deliver(f.Key, callResult{err: fmt.Errorf("shard %d: %s", st.id, f.Body)})
 		}
-		if r.Pong {
-			continue
-		}
-		st.deliver(r)
 	}
 }
 
-// deliver completes the oldest call waiting on the response's key.
-// Responses with no waiting call (a key answered twice, or a response
-// drained from a child whose work was already requeued) are dropped and
-// counted — the dedup half of exactly-once emission.
-func (st *shardState) deliver(r Response) {
+// observe stamps a shipment with this shard's index and the child's
+// epoch and hands it to the telemetry observer, if any.
+func (st *shardState) observe(t Telemetry, epoch int64) {
+	if cb := st.sup.cfg.OnTelemetry; cb != nil {
+		t.Shard = st.id
+		t.Epoch = epoch
+		cb(t)
+	}
+}
+
+// deliver completes the oldest call waiting on key. Replies with no
+// waiting call (a key answered twice, or a reply drained from a child
+// whose work was already requeued) are dropped and counted — the dedup
+// half of exactly-once emission.
+func (st *shardState) deliver(key string, r callResult) {
 	st.mu.Lock()
-	cs := st.sent[r.Key]
+	cs := st.sent[key]
 	var c *call
 	if len(cs) > 0 {
 		c = cs[0]
 		if len(cs) == 1 {
-			delete(st.sent, r.Key)
+			delete(st.sent, key)
 		} else {
-			st.sent[r.Key] = cs[1:]
+			st.sent[key] = cs[1:]
 		}
 	}
 	st.mu.Unlock()
@@ -1232,11 +1260,7 @@ func (st *shardState) deliver(r Response) {
 		st.sup.m.Counter("shard.response.orphans").Inc()
 		return
 	}
-	if r.Err != "" {
-		c.done <- callResult{err: fmt.Errorf("shard %d: %s", st.id, r.Err)}
-		return
-	}
-	c.done <- callResult{line: append([]byte(nil), r.Line...)}
+	c.done <- r
 }
 
 // probe enforces the liveness deadline: a ping every ProbeInterval, and
@@ -1266,7 +1290,7 @@ func (st *shardState) probe(p *proc, done chan<- struct{}) {
 				p.kill()
 				return
 			}
-			if err := p.write(Request{Ping: true}); err != nil {
+			if err := p.write(Frame{Kind: KindPing}); err != nil {
 				p.kill()
 				return
 			}

@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -31,7 +30,7 @@ func TestMain(m *testing.M) {
 }
 
 // echoWorker answers pings with pongs and documents with a
-// deterministic echo line. Environment variables script its failure
+// deterministic echo line, speaking the same frames as the vs2d worker. Environment variables script its failure
 // modes:
 //
 //	SHARD_CRASH_AFTER=n    exit(3) after answering n documents
@@ -41,9 +40,10 @@ func TestMain(m *testing.M) {
 //	SHARD_HANG_ONCE=path   first incarnation answers nothing at all
 //	                       (probe deadline must kill it)
 //	SHARD_FAIL_START=1     exit(9) immediately, before reading stdin
-//	SHARD_TELEMETRY=1      after each answered document, ship a telemetry
-//	                       line: the worker registry's delta plus one span
-//	                       stamped with the request's Span as parent_span
+//	SHARD_TELEMETRY=1      trace each answered document — its reply carries
+//	                       one span stamped with the request's Span as
+//	                       parent_span — and then ship a telemetry frame
+//	                       with the worker registry's delta
 //	SHARD_POISON_KEY=k     exit(3) on receiving key k, every incarnation —
 //	                       a deterministic poison document
 //	SHARD_SLOW=ms          sleep that long before answering each document
@@ -51,10 +51,11 @@ func TestMain(m *testing.M) {
 //	SHARD_ADOPT_FAIL=1     answer Adopt requests with an error instead of
 //	                       merging
 //
-// Adopt requests are simulated against the filesystem: the worker counts
-// the lines of the file at the adopt path, removes it, and answers with
-// that count — 0 when the file is already gone, mirroring the idempotent
-// re-adoption of a real journal merge.
+// Adopt requests are simulated against the filesystem: the worker
+// removes the file at the adopt path and acknowledges — also when the
+// file is already gone, mirroring the idempotent re-adoption of a real
+// journal merge. A document's reply is degraded when it was sent at a
+// fidelity level above 0, so tests see the status ride the frame.
 func echoWorker() int {
 	if os.Getenv("SHARD_FAIL_START") != "" {
 		return 9
@@ -76,33 +77,32 @@ func echoWorker() int {
 	wm := obs.NewRegistry()
 	var prev obs.Snapshot
 	answered := 0
-	sc := bufio.NewScanner(os.Stdin)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	out := bufio.NewWriter(os.Stdout)
-	for sc.Scan() {
-		var req Request
-		if err := json.Unmarshal(sc.Bytes(), &req); err != nil {
+	fr := NewReader(os.Stdin, 1<<20)
+	for {
+		req, err := fr.Next()
+		if errors.Is(err, ErrMalformed) {
 			continue
 		}
-		if req.Ping {
-			writeJSON(out, Response{Pong: true})
-			continue
+		if err != nil {
+			break
 		}
-		if req.Adopt != "" {
+		switch req.Kind {
+		case KindPing:
+			writeFrame(Frame{Kind: KindPong})
+			continue
+		case KindAdopt:
 			if os.Getenv("SHARD_ADOPT_FAIL") != "" {
-				writeJSON(out, Response{Key: req.Key, Err: "adopt refused by test worker"})
+				writeFrame(Frame{Kind: KindError, Key: req.Key, Body: []byte("adopt refused by test worker")})
 				continue
 			}
-			merged := 0
-			if data, err := os.ReadFile(req.Adopt); err == nil {
-				for _, b := range data {
-					if b == '\n' {
-						merged++
-					}
-				}
-				os.Remove(req.Adopt) //nolint:errcheck
+			path := string(req.Body)
+			if _, err := os.Stat(path); err == nil {
+				os.Remove(path) //nolint:errcheck
 			}
-			writeJSON(out, Response{Key: req.Key, Adopted: merged})
+			writeFrame(Frame{Kind: KindAdopted, Key: req.Key})
+			continue
+		case KindDoc:
+		default:
 			continue
 		}
 		if ms, _ := strconv.Atoi(os.Getenv("SHARD_SLOW")); ms > 0 {
@@ -118,44 +118,48 @@ func echoWorker() int {
 			return 3 // the document itself kills the worker, deterministically
 		}
 		line, _ := json.Marshal(map[string]any{"id": req.Key, "pid": os.Getpid(), "level": req.Level})
-		writeJSON(out, Response{Key: req.Key, Line: line})
-		answered++
+		reply := Frame{Kind: KindReply, Key: req.Key, Body: line}
+		if req.Level > 0 {
+			reply.Status = StatusDegraded
+		}
 		if telemetry {
-			wm.Counter("worker.docs").Inc()
-			cur := wm.Snapshot()
-			delta := cur.DeltaSince(prev)
-			prev = cur
 			tr := obs.New("worker " + req.Key)
 			tr.Root().SetAttr("key", req.Key)
 			if req.Span != "" {
 				tr.Root().SetAttr("parent_span", req.Span)
 			}
 			tr.Finish()
-			span := tr.Snapshot()
-			writeJSON(out, Response{Telemetry: &Telemetry{
-				Metrics: &delta,
-				Spans:   []obs.SpanSnapshot{span},
-			}})
+			reply.Trace, _ = json.Marshal(tr.Snapshot())
+		}
+		writeFrame(reply)
+		answered++
+		if telemetry {
+			wm.Counter("worker.docs").Inc()
+			cur := wm.Snapshot()
+			delta := cur.DeltaSince(prev)
+			prev = cur
+			writeTelemetry(Telemetry{Metrics: &delta})
 		}
 		if crashAfter >= 0 && answered >= crashAfter {
-			out.Flush() //nolint:errcheck
 			return 3
 		}
 	}
 	if telemetry {
 		cur := wm.Snapshot()
 		delta := cur.DeltaSince(prev)
-		writeJSON(out, Response{Telemetry: &Telemetry{Metrics: &delta, Final: true}})
+		writeTelemetry(Telemetry{Metrics: &delta, Final: true})
 	}
-	out.Flush() //nolint:errcheck
 	return 0
 }
 
-func writeJSON(w *bufio.Writer, v any) {
-	data, _ := json.Marshal(v)
-	w.Write(data)     //nolint:errcheck
-	w.WriteByte('\n') //nolint:errcheck
-	w.Flush()         //nolint:errcheck
+// writeFrame sends one frame up the response pipe in a single write.
+func writeFrame(f Frame) {
+	os.Stdout.Write(AppendFrame(nil, f)) //nolint:errcheck
+}
+
+func writeTelemetry(t Telemetry) {
+	data, _ := json.Marshal(t)
+	writeFrame(Frame{Kind: KindTelemetry, Body: data})
 }
 
 // startFunc builds a Config.Start that re-execs this test binary as an
@@ -231,7 +235,7 @@ func TestSupervisorEcho(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			key := fmt.Sprintf("doc-%03d", i)
-			line, err := s.Do(ctx, key, json.RawMessage(`{"n":`+strconv.Itoa(i)+`}`))
+			line, _, err := s.Do(ctx, key, []byte(`{"n":`+strconv.Itoa(i)+`}`), "", 0)
 			if err != nil {
 				errs <- fmt.Errorf("%s: %w", key, err)
 				return
@@ -271,7 +275,7 @@ func TestSupervisorCrashRequeueRestart(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
-	line, err := s.Do(ctx, "victim", json.RawMessage(`{}`))
+	line, _, err := s.Do(ctx, "victim", []byte(`{}`), "", 0)
 	if err != nil {
 		t.Fatalf("Do across crash: %v", err)
 	}
@@ -319,7 +323,7 @@ func TestSupervisorPermanentFailureFailsOver(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	for _, k := range victims {
-		line, err := s.Do(ctx, k, json.RawMessage(`{}`))
+		line, _, err := s.Do(ctx, k, []byte(`{}`), "", 0)
 		if err != nil {
 			t.Fatalf("Do(%s) owned by dead shard: %v", k, err)
 		}
@@ -359,7 +363,7 @@ func TestSupervisorFleetDead(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if _, err := s.Do(ctx, "anything", json.RawMessage(`{}`)); err != ErrNoShards {
+	if _, _, err := s.Do(ctx, "anything", []byte(`{}`), "", 0); err != ErrNoShards {
 		t.Fatalf("Do on dead fleet: err = %v, want ErrNoShards", err)
 	}
 }
@@ -379,7 +383,7 @@ func TestSupervisorProbeTimeoutKillsHungChild(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	line, err := s.Do(ctx, "stuck", json.RawMessage(`{}`))
+	line, _, err := s.Do(ctx, "stuck", []byte(`{}`), "", 0)
 	if err != nil {
 		t.Fatalf("Do across hung child: %v", err)
 	}
@@ -399,7 +403,7 @@ func TestSupervisorClosed(t *testing.T) {
 		t.Fatal(err)
 	}
 	closeSup(t, s)
-	if _, err := s.Do(context.Background(), "late", json.RawMessage(`{}`)); err != ErrClosed {
+	if _, _, err := s.Do(context.Background(), "late", []byte(`{}`), "", 0); err != ErrClosed {
 		t.Fatalf("Do after Close: err = %v, want ErrClosed", err)
 	}
 }
@@ -427,7 +431,7 @@ func TestSupervisorCrashLoopKeepsServing(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			key := fmt.Sprintf("loop-%02d", i)
-			if _, err := s.Do(ctx, key, json.RawMessage(`{}`)); err != nil {
+			if _, _, err := s.Do(ctx, key, []byte(`{}`), "", 0); err != nil {
 				errs <- fmt.Errorf("%s: %w", key, err)
 			}
 		}(i)
@@ -468,7 +472,7 @@ func TestSupervisorPoisonQuarantine(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	_, derr := s.Do(ctx, "bad", json.RawMessage(`{}`))
+	_, _, derr := s.Do(ctx, "bad", []byte(`{}`), "", 0)
 	if !errors.Is(derr, ErrPoisoned) {
 		t.Fatalf("Do(bad) = %v, want ErrPoisoned", derr)
 	}
@@ -487,7 +491,7 @@ func TestSupervisorPoisonQuarantine(t *testing.T) {
 	// The shard survives its poison: later documents are served normally.
 	for i := 0; i < 5; i++ {
 		key := fmt.Sprintf("good-%d", i)
-		line, err := s.Do(ctx, key, json.RawMessage(`{}`))
+		line, _, err := s.Do(ctx, key, []byte(`{}`), "", 0)
 		if err != nil {
 			t.Fatalf("Do(%s) after quarantine: %v", key, err)
 		}
@@ -502,7 +506,9 @@ func TestSupervisorPoisonQuarantine(t *testing.T) {
 }
 
 // TestSupervisorLevelPropagation: the fidelity level rides the request
-// envelope to the worker, and crosses restarts with the requeued call.
+// frame to the worker, and the reply's status rides back in its frame —
+// the echo worker marks a reply degraded when it was sent at a level
+// above 0.
 func TestSupervisorLevelPropagation(t *testing.T) {
 	s, err := New(fastCfg(t, 1, nil))
 	if err != nil {
@@ -513,15 +519,11 @@ func TestSupervisorLevelPropagation(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 	for _, tc := range []struct {
-		key   string
-		level int
-	}{{"full", 0}, {"degraded", 2}} {
-		var line []byte
-		if tc.level == 0 {
-			line, err = s.Do(ctx, tc.key, json.RawMessage(`{}`))
-		} else {
-			line, err = s.DoLevel(ctx, tc.key, json.RawMessage(`{}`), "", tc.level)
-		}
+		key    string
+		level  int
+		status Status
+	}{{"full", 0, StatusOK}, {"degraded", 2, StatusDegraded}} {
+		line, status, err := s.Do(ctx, tc.key, []byte(`{}`), "", tc.level)
 		if err != nil {
 			t.Fatalf("Do(%s): %v", tc.key, err)
 		}
@@ -531,6 +533,9 @@ func TestSupervisorLevelPropagation(t *testing.T) {
 		}
 		if lvl, _ := got["level"].(float64); int(lvl) != tc.level {
 			t.Errorf("worker saw level %v for %s, want %d", got["level"], tc.key, tc.level)
+		}
+		if status != tc.status {
+			t.Errorf("status for %s = %d, want %d", tc.key, status, tc.status)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"os"
 	"strconv"
@@ -14,11 +13,13 @@ import (
 	"vs2/internal/obs"
 )
 
-// TestSupervisorTelemetryStamped: worker telemetry shipments ride the
-// response pipe and arrive at OnTelemetry stamped with the authoritative
-// shard index and child epoch; their metric deltas fold into a fleet
-// registry under a shard label, and their spans carry the request's span
-// ID as parent_span for cross-process stitching.
+// TestSupervisorTelemetryStamped: worker telemetry shipments and the
+// span trees of traced replies ride the response pipe and arrive at
+// OnTelemetry stamped with the authoritative shard index and child
+// epoch; metric deltas fold into a fleet registry under a shard label,
+// and each tree carries the request's span ID as parent_span for
+// cross-process stitching. A tree travels in its reply's frame, so it is
+// on file before the document's Do returns.
 func TestSupervisorTelemetryStamped(t *testing.T) {
 	var mu sync.Mutex
 	var shipments []Telemetry
@@ -44,43 +45,38 @@ func TestSupervisorTelemetryStamped(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 	const docs = 5
+	parents := func() map[string]bool {
+		mu.Lock()
+		defer mu.Unlock()
+		seen := map[string]bool{}
+		for _, tl := range shipments {
+			if tl.Shard != 0 {
+				t.Errorf("shipment stamped shard %d, want 0", tl.Shard)
+			}
+			if tl.Epoch != 1 {
+				t.Errorf("shipment stamped epoch %d, want 1 (no restarts)", tl.Epoch)
+			}
+			for _, sp := range tl.Spans {
+				if p, ok := sp.Attrs["parent_span"].(string); ok {
+					seen[p] = true
+				}
+			}
+		}
+		return seen
+	}
 	for i := 0; i < docs; i++ {
 		key := fmt.Sprintf("tele-%d", i)
-		if _, err := s.DoSpan(ctx, key, json.RawMessage(`{}`), "span-"+key); err != nil {
-			t.Fatalf("DoSpan(%s): %v", key, err)
+		if _, _, err := s.Do(ctx, key, []byte(`{}`), "span-"+key, 0); err != nil {
+			t.Fatalf("Do(%s): %v", key, err)
+		}
+		if !parents()["span-"+key] {
+			t.Errorf("Do(%s) returned before its span tree reached OnTelemetry", key)
 		}
 	}
 	waitFor(t, 10*time.Second, func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return len(shipments) >= docs
-	}, "telemetry shipments to arrive")
-
-	mu.Lock()
-	defer mu.Unlock()
-	parents := map[string]bool{}
-	for _, tl := range shipments {
-		if tl.Shard != 0 {
-			t.Errorf("shipment stamped shard %d, want 0", tl.Shard)
-		}
-		if tl.Epoch != 1 {
-			t.Errorf("shipment stamped epoch %d, want 1 (no restarts)", tl.Epoch)
-		}
-		for _, sp := range tl.Spans {
-			if p, ok := sp.Attrs["parent_span"].(string); ok {
-				parents[p] = true
-			}
-		}
-	}
-	for i := 0; i < docs; i++ {
-		want := fmt.Sprintf("span-tele-%d", i)
-		if !parents[want] {
-			t.Errorf("no worker span carried parent_span %q", want)
-		}
-	}
-	if got := fleet.Counter(`worker.docs{shard="0"}`).Value(); got != docs {
-		t.Errorf("fleet worker.docs{shard=0} = %d, want %d", got, docs)
-	}
+		return fleet.Counter(`worker.docs{shard="0"}`).Value() == docs
+	}, "metric deltas to fold into worker.docs{shard=0}")
+	parents() // checks the stamps on the metric shipments too
 	if got := s.Metrics().Counter(obs.Name("shard.telemetry.shipments", obs.L("shard", "0"))).Value(); got < docs {
 		t.Errorf("shard.telemetry.shipments = %d, want >= %d", got, docs)
 	}
@@ -105,7 +101,7 @@ func TestSupervisorScrapeDuringKillRestart(t *testing.T) {
 	defer cancel()
 	doOne := func(i int) {
 		key := fmt.Sprintf("scrape-%d", i)
-		if _, err := s.Do(ctx, key, json.RawMessage(`{}`)); err != nil {
+		if _, _, err := s.Do(ctx, key, []byte(`{}`), "", 0); err != nil {
 			t.Fatalf("Do(%s): %v", key, err)
 		}
 	}

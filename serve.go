@@ -372,6 +372,9 @@ type BatchResult struct {
 	// when the batch ran durably (WithDurability) or through
 	// ExtractRecorded.
 	Line []byte
+	// Status is Line's outcome class, set with Line: read off the
+	// rendered result, or parsed from a replayed line.
+	Status Status
 	// Replayed marks a document skipped because the journal already held
 	// its completion: Line carries the cached output, the pipeline never
 	// ran.

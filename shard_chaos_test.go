@@ -497,7 +497,8 @@ func metricValue(body, sample string) (float64, bool) {
 // vs2trace: no orphaned worker spans, with the killed shard's
 // in-flight documents re-parented under the retry that answered them.
 // When VS2_CHAOS_ARTIFACTS names a directory, the final /metrics
-// snapshot and the stitched trace are saved there for CI upload.
+// snapshot and the stitched trace are saved there for CI upload, pass or
+// fail.
 func TestShardChaosAdminObservability(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shard chaos spawns real process fleets; skipped in -short")
@@ -512,6 +513,10 @@ func TestShardChaosAdminObservability(t *testing.T) {
 
 	state := t.TempDir()
 	tracePath := filepath.Join(state, "trace.jsonl")
+	// Registered first, so it runs last: after the front end is reaped,
+	// whichever check failed.
+	var finalMetrics string
+	defer func() { saveChaosArtifacts(t, finalMetrics, tracePath) }()
 	// The restart backoff is raised well above the harness default so
 	// the down state is wide enough to observe through the scrape loop.
 	cmd := exec.Command(bin, vs2dArgs(state,
@@ -594,7 +599,7 @@ func TestShardChaosAdminObservability(t *testing.T) {
 
 	// Phase 3: the supervisor revives the shard; the gauges and restart
 	// counter must agree with it.
-	finalMetrics := waitScrape(t, base+"/metrics", "shard 0 back up with a restart counted", func(code int, body string) bool {
+	finalMetrics = waitScrape(t, base+"/metrics", "shard 0 back up with a restart counted", func(code int, body string) bool {
 		up, upOK := metricValue(body, `shard_up{shard="0"}`)
 		restarts, rOK := metricValue(body, `shard_restarts{shard="0"}`)
 		return code == http.StatusOK && upOK && up == 1 && rOK && restarts >= 1
@@ -632,22 +637,31 @@ func TestShardChaosAdminObservability(t *testing.T) {
 	if !strings.Contains(vout.String(), "60 traces checked, 0 bad") {
 		t.Fatalf("vs2trace output: %s", vout.String())
 	}
+}
 
-	// The CI workflow points VS2_CHAOS_ARTIFACTS at a directory and
-	// uploads whatever lands there.
-	if dir := os.Getenv("VS2_CHAOS_ARTIFACTS"); dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			t.Fatalf("artifacts dir: %v", err)
+// saveChaosArtifacts copies what a chaos run left — the last /metrics
+// scrape and the stitched trace, each if it exists — into the directory
+// VS2_CHAOS_ARTIFACTS names, where the CI workflow uploads it from.
+func saveChaosArtifacts(t *testing.T, metrics, tracePath string) {
+	dir := os.Getenv("VS2_CHAOS_ARTIFACTS")
+	if dir == "" {
+		return
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Errorf("artifacts dir: %v", err)
+		return
+	}
+	if metrics != "" {
+		if err := os.WriteFile(filepath.Join(dir, "metrics.prom"), []byte(metrics), 0o644); err != nil {
+			t.Errorf("artifacts metrics: %v", err)
 		}
-		if err := os.WriteFile(filepath.Join(dir, "metrics.prom"), []byte(finalMetrics), 0o644); err != nil {
-			t.Fatalf("artifacts metrics: %v", err)
-		}
-		trace, err := os.ReadFile(tracePath)
-		if err != nil {
-			t.Fatalf("artifacts trace: %v", err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, "stitched-trace.jsonl"), trace, 0o644); err != nil {
-			t.Fatalf("artifacts trace: %v", err)
-		}
+	}
+	trace, err := os.ReadFile(tracePath)
+	if err != nil {
+		t.Logf("artifacts: no stitched trace to save: %v", err)
+		return
+	}
+	if err := os.WriteFile(filepath.Join(dir, "stitched-trace.jsonl"), trace, 0o644); err != nil {
+		t.Errorf("artifacts trace: %v", err)
 	}
 }
